@@ -24,6 +24,11 @@ for n in (2, 4, 6, 8):
 value, bound = mzv_with_error((3,), 16)
 print(f"\nzeta(3) = {value}  (error <= {bound:.1E})")
 
+# Euler: the sum over k1 < k2 of 1/(k1 k2^2) is zeta(3) again.  Indices
+# containing a 1 are certified like any other.
+value, bound = mzv_with_error((1, 2), 16)
+print(f"zeta(1,2) = {value}  (error <= {bound:.1E})")
+
 # Nested sums over k1 < k2: zeta(3,5) appears in the six-loop period story.
 value, bound = mzv_with_error((3, 5), 16)
 print(f"zeta(3,5) = {value}  (error <= {bound:.1E})")
@@ -42,7 +47,7 @@ print("word for zeta(3,5):", "".join(str(b) for b in word.letters), " weight", w
 print(f"\nP35      = {p35():.12f}")
 print(f"32 * P35 = {p35_period():.10f}")
 
-# depth three is no harder: all-(>=2) indices certify 14 digits quickly,
-# and zeta(2,2,2) has the closed form pi^6/5040 to check against
+# depth three is no harder, and zeta(2,2,2) has the closed form
+# pi^6/5040 to check against
 closed = euler_even_zeta(6)[1] * 945 / 5040
 print(f"zeta(2,2,2) = {mzv((2, 2, 2), 14):.15f}  (pi^6/5040 = {closed:.15f})")

@@ -19,8 +19,11 @@ a computation error such as an unreadable graph file, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import math
+import operator
+import re
 import sys
 from fractions import Fraction
 
@@ -71,24 +74,54 @@ def _parse_fraction(text):
         raise ValueError(f"cannot parse rational number {text!r}")
 
 
-_EXPECT_DOC = "allowed names: zeta(n, ...), pi, log2, p35"
+_EXPECT_DOC = "allowed: numbers, + - * / **, unary minus, zeta(n, ...), pi, log2, p35"
+
+_EXPECT_OPS = {
+    ast.Add: operator.add,
+    ast.Sub: operator.sub,
+    ast.Mult: operator.mul,
+    ast.Div: operator.truediv,
+    ast.Pow: operator.pow,
+}
+_EXPECT_NAMES = {"pi": lambda: math.pi, "log2": lambda: math.log(2.0), "p35": lambda: p35(15)}
+
+
+def _expect_value(node):
+    """Float value of one node of a whitelisted ``--expect`` expression."""
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        return float(node.value)
+    if isinstance(node, ast.BinOp) and type(node.op) in _EXPECT_OPS:
+        return _EXPECT_OPS[type(node.op)](_expect_value(node.left), _expect_value(node.right))
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        return -_expect_value(node.operand)
+    if isinstance(node, ast.Name) and node.id in _EXPECT_NAMES:
+        return _EXPECT_NAMES[node.id]()
+    if (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "zeta"
+        and node.args
+        and not node.keywords
+        and all(isinstance(a, ast.Constant) and type(a.value) is int for a in node.args)
+    ):
+        return float(mzv_with_error(tuple(a.value for a in node.args), 15)[0])
+    raise ValueError(f"{ast.unparse(node)!r} is not allowed")
 
 
 def _eval_expect(expr):
-    """Evaluate a reference-value expression like ``6*zeta(3)``."""
-    names = {
-        "zeta": lambda *idx: float(mzv_with_error(tuple(int(n) for n in idx), 15)[0]),
-        "pi": math.pi,
-        "log2": math.log(2.0),
-        "p35": p35(15),
-    }
+    """Evaluate a reference-value expression like ``6*zeta(3)``.
+
+    Only the syntax named in ``_EXPECT_DOC`` is accepted; p35 is computed
+    only when the expression names it.
+    """
     try:
-        value = eval(expr, {"__builtins__": {}}, names)  # noqa: S307 - restricted namespace
-    except Exception as exc:
+        value = _expect_value(ast.parse(expr, mode="eval").body)
+    except (SyntaxError, ValueError, ArithmeticError, RecursionError) as exc:
         raise ValueError(f"cannot evaluate --expect expression {expr!r}: {exc}; {_EXPECT_DOC}")
-    if not isinstance(value, (int, float)):
-        raise ValueError(f"--expect expression {expr!r} is not a number; {_EXPECT_DOC}")
-    return float(value)
+    # a negative base to a fractional power gives a complex number
+    if not isinstance(value, float) or not math.isfinite(value):
+        raise ValueError(f"--expect expression {expr!r} is not a finite real; {_EXPECT_DOC}")
+    return value
 
 
 def _cmd_symanzik(args):
@@ -317,14 +350,7 @@ def _cmd_galois_span(args):
 
 
 def _cmd_galois_check_ratio(args):
-    rest = list(args.coeffs)
-    json_mode = args.json or "--json" in rest
-    rest = [tok for tok in rest if tok != "--json"]
-    if len(rest) != 2:
-        raise UsageError("galois check-ratio expects exactly two rational coefficients")
-    args.json = json_mode
-    c1 = _parse_fraction(rest[0])
-    c2 = _parse_fraction(rest[1])
+    c1, c2 = (_parse_fraction(text) for text in args.coeffs)
     check = check_ratio_constraint(c1, c2)
     results = {
         "c1": str(c1),
@@ -342,10 +368,6 @@ def _cmd_galois_check_ratio(args):
     ]
     _emit(args, "galois check-ratio", {"c1": str(c1), "c2": str(c2)}, results, {}, lines)
     return 0
-
-
-class UsageError(Exception):
-    """Raised for malformed invocations that argparse cannot catch itself."""
 
 
 def _add_json_flag(parser):
@@ -424,8 +446,10 @@ def build_parser():
     g.set_defaults(func=_cmd_galois_span)
 
     g = gsub.add_parser("check-ratio", help="check two coefficients against the 12/29 ratio")
-    g.add_argument("coeffs", nargs=argparse.REMAINDER,
+    g.add_argument("coeffs", nargs=2, metavar="C",
                    help="two rational coefficients, e.g. 3024/5 -7308/5")
+    # read -3024/5 as a coefficient, as argparse already does for -3024
+    g._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
     _add_json_flag(g)
     g.set_defaults(func=_cmd_galois_check_ratio)
 
@@ -441,9 +465,6 @@ def run(argv=None):
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

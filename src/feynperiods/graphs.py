@@ -20,7 +20,7 @@ Graphs are immutable; all mutating-looking operations return new graphs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 import json
@@ -86,8 +86,6 @@ class FeynmanGraph:
     vertices: tuple[str, ...]
     edges: tuple[Edge, ...]
     legs: tuple[ExternalLeg, ...] = ()
-    # vertex identifications recorded by contraction: (old vertex, representative)
-    merged_from: tuple[tuple[str, str], ...] = field(default=(), compare=False)
 
     def __post_init__(self):
         vset = set(self.vertices)
@@ -213,7 +211,6 @@ class FeynmanGraph:
                         a, b = b, a
                     parent[b] = a
         rep = {v: find(v) for v in self.vertices}
-        merges = tuple(sorted((v, r) for v, r in rep.items() if v != r))
         return FeynmanGraph(
             vertices=tuple(sorted({rep[v] for v in self.vertices})),
             edges=tuple(
@@ -222,7 +219,6 @@ class FeynmanGraph:
                 if e.id not in gamma
             ),
             legs=tuple(ExternalLeg(rep[leg.vertex], leg.momentum) for leg in self.legs),
-            merged_from=merges,
         )
 
     def induced_subgraph(self, edge_ids):

@@ -8,13 +8,14 @@ Multiple zeta values are the nested sums
 convergent when the last index is >= 2.  The weight is n_1 + ... + n_r and
 the depth is r.
 
-Numerical evaluation runs in ``decimal`` arithmetic: a direct partial sum
-plus an Euler-Maclaurin tail whose error bound is computed term by term,
-never assumed.  For depth >= 2 the truncated outer sum is completed by the
-recursively evaluated lower-depth value minus its own tail, the latter
-expanded as a power series in the cutoff whose coefficients again involve
-lower-depth values; every series remainder carries an explicit bound, which
-is what makes fourteen digits cheap for indices like (3, 5) or (2, 2).
+Numerical evaluation works on the period itself: the iterated integral from
+0 to 1 of the index's word (see :func:`iterated_integral_word`), split at
+1/2 by the Hoelder convolution of Borwein, Bradley, Broadhurst and
+Lisonek (arXiv:math/9910045, section 7).  Both halves are power series
+with non-negative coefficients evaluated at 1/2, so every truncation has an
+explicit geometric tail bound and every admissible index, including those
+containing a 1, is certified to any requested number of digits in
+``decimal`` arithmetic.
 
 Exact structures: Bernoulli numbers, the even-zeta evaluation
 ``zeta(2n) = c * pi^(2n)`` with rational c, the shuffle-free "stuffle"
@@ -34,16 +35,14 @@ here.)
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
-from decimal import Decimal, localcontext
+from decimal import Decimal, getcontext, localcontext
 from fractions import Fraction
 from functools import lru_cache
 
 # pi to 50 digits, for float-accurate even zeta values
 _PI = Decimal("3.14159265358979323846264338327950288419716939937511")
-
-# zeta(n) <= zeta(2) for n >= 2; used in coarse tail majorants
-_ZETA2_UPPER = Decimal("1.6449340668482265")
 
 
 @lru_cache(maxsize=None)
@@ -77,148 +76,6 @@ def euler_even_zeta(n):
     return c, float(value)
 
 
-def _series_tail(n, start, terms=6):
-    """(tail, bound) for ``sum_{k >= start} k^-n`` by Euler-Maclaurin.
-
-    The correction terms alternate in sign, so the bound is the magnitude of
-    the first omitted term.
-    """
-    k = Decimal(start)
-    tail = k ** (1 - n) / (n - 1) + k ** (-n) / 2
-    for j in range(1, terms + 1):
-        b = bernoulli(2 * j)
-        rising = 1
-        for i in range(2 * j - 1):
-            rising *= n + i
-        coeff = Fraction(b) * rising / math.factorial(2 * j)
-        tail += Decimal(coeff.numerator) / Decimal(coeff.denominator) * k ** (-(n + 2 * j - 1))
-    b = bernoulli(2 * terms + 2)
-    rising = 1
-    for i in range(2 * terms + 1):
-        rising *= n + i
-    coeff = Fraction(b) * rising / math.factorial(2 * terms + 2)
-    bound = abs(Decimal(coeff.numerator) / Decimal(coeff.denominator)) * k ** (
-        -(n + 2 * terms + 1)
-    )
-    return tail, bound
-
-
-def _power_tail_series(n, terms=6):
-    """``sum_{k >= a} k^-n`` as a power series in 1/a with an error term.
-
-    Returns ``(series, err)`` where the series is ``{p: c}`` meaning
-    ``sum_p c * a^-p``, and ``err = (e_c, e_p)`` bounds the truncation by
-    ``e_c * a^-e_p`` for every a >= 1 (first omitted Euler-Maclaurin term;
-    the corrections alternate).  Symbolic counterpart of :func:`_series_tail`.
-    """
-    series = {n - 1: Decimal(1) / (n - 1), n: Decimal("0.5")}
-    for j in range(1, terms + 1):
-        b = bernoulli(2 * j)
-        rising = 1
-        for i in range(2 * j - 1):
-            rising *= n + i
-        coeff = Fraction(b) * rising / math.factorial(2 * j)
-        series[n + 2 * j - 1] = Decimal(coeff.numerator) / Decimal(coeff.denominator)
-    b = bernoulli(2 * terms + 2)
-    rising = 1
-    for i in range(2 * terms + 1):
-        rising *= n + i
-    coeff = abs(Fraction(b) * rising / math.factorial(2 * terms + 2))
-    err = (Decimal(coeff.numerator) / Decimal(coeff.denominator), n + 2 * terms + 1)
-    return series, err
-
-
-def _mzv_tail_series(indices, tol):
-    """Tail of the mzv sum with the outermost variable >= a, as a power series.
-
-    For an index with all entries >= 2, writes
-
-        R(a) = sum over k_1 < ... < k_r with k_r >= a
-
-    as ``sum_p c_p a^-p`` plus error terms ``[(e_c, e_p), ...]`` (each
-    bounding a contribution by ``e_c * a^-e_p``).  Conditioning on the
-    outermost variable gives the recursion
-    ``R(a) = M' * tail_{n_r}(a) - sum_{j >= a} R'(j) j^-n_r`` with M' the
-    full lower-depth value, which turns lower-depth series into this one.
-    """
-    idx = tuple(indices)
-    if idx[0] == 1 or any(n < 2 for n in idx):
-        raise ValueError("tail series needs all indices >= 2")
-    if len(idx) == 1:
-        series, err = _power_tail_series(idx[0])
-        return series, [err]
-
-    prefix, last = idx[:-1], idx[-1]
-    sub_series, sub_errs = _mzv_tail_series(prefix, tol / 2)
-    sub_value, sub_bound = _mzv_decimal(prefix, tol / 2)
-
-    series = {}
-    errs = {}
-
-    def add_series(scale, base):
-        for p, c in base.items():
-            series[p] = series.get(p, Decimal(0)) + scale * c
-
-    def add_err(scale, p):
-        if scale:
-            errs[p] = errs.get(p, Decimal(0)) + abs(scale)
-
-    head, head_err = _power_tail_series(last)
-    add_series(sub_value, head)
-    # uncertainty of M' multiplies the whole tail_{n_r} series
-    for p, c in head.items():
-        add_err(sub_bound * c, p)
-    add_err(sub_value * head_err[0] + sub_bound * head_err[0], head_err[1])
-
-    for p_i, c_i in sub_series.items():
-        piece, piece_err = _power_tail_series(p_i + last)
-        add_series(-c_i, piece)
-        add_err(c_i * piece_err[0], piece_err[1])
-    for e_c, e_p in sub_errs:
-        piece, piece_err = _power_tail_series(e_p + last)
-        for p, c in piece.items():
-            add_err(e_c * c, p)
-        add_err(e_c * piece_err[0], piece_err[1])
-    return series, [(c, p) for p, c in sorted(errs.items())]
-
-
-def _zeta_decimal(n, tol, cutoff=None):
-    """(value, error bound) for zeta(n), integer n >= 2, in Decimal."""
-    if cutoff is not None:
-        start = max(2, int(cutoff) + 1)
-    else:
-        start = 16
-        while _series_tail(n, start)[1] > tol / 4:
-            start *= 2
-            if start > 1 << 22:
-                break
-    partial = Decimal(0)
-    one = Decimal(1)
-    for k in range(start - 1, 0, -1):  # small terms first
-        partial += one / Decimal(k) ** n
-    tail, bound = _series_tail(n, start)
-    return partial + tail, bound
-
-
-def _log_power_integral(s, n, lower):
-    """``integral_{lower}^inf (1 + ln x)^s x^-n dx`` exactly, s integer >= 0.
-
-    Repeated integration by parts:
-    ``L^(1-n) * sum_j C(s,j) (1+ln L)^(s-j) j! / (n-1)^(j+1)``.
-    """
-    big_l = Decimal(lower)
-    log_l = 1 + big_l.ln()
-    total = Decimal(0)
-    for j in range(s + 1):
-        total += (
-            Decimal(math.comb(s, j))
-            * log_l ** (s - j)
-            * Decimal(math.factorial(j))
-            / Decimal(n - 1) ** (j + 1)
-        )
-    return big_l ** (1 - n) * total
-
-
 def _validate_indices(indices):
     idx = tuple(int(n) for n in indices)
     if not idx:
@@ -230,80 +87,99 @@ def _validate_indices(indices):
     return idx
 
 
+def _tail_bound(order, ones):
+    """Bound on ``sum_{k > order} c_k 2^-k`` for a word with ``ones`` letters 1.
+
+    The coefficients obey ``0 <= c_k <= C(k-1, ones-1)``, and the ratio
+    ``k / (2(k - ones + 1))`` of consecutive majorants decreases in k, so
+    the tail is at most the first omitted majorant over ``1 - rho`` with
+    ``rho = (order+1) / (2(order+2-ones))``; needs ``order >= 2*ones - 2``.
+    """
+    if not ones:
+        return Decimal(0)  # the empty word: L = 1 exactly
+    num = math.comb(order, ones - 1) * (order + 2 - ones)
+    return Decimal(num) / Decimal((order + 3 - 2 * ones) << order)
+
+
+def _prefix_values(letters, order):
+    """``I(0; prefix; 1/2)`` for every prefix of ``letters``, series cut at ``order``.
+
+    Works on ``d_k = c_k 2^-k`` for the power series ``sum c_k x^k`` of the
+    running iterated integral, starting from the constant 1.  Letter 0
+    (dx/x) maps c_k to c_k / k; letter 1 (dx/(1-x)) maps c_k to
+    ``sum_{i<k} c_i / k``, whose 2^-k-weighted partial sum obeys
+    ``S_{k+1} = (S_k + d_k) / 2``.
+    """
+    half = Decimal("0.5")
+    d = [Decimal(1)] + [Decimal(0)] * order
+    values = [Decimal(1)]
+    for a in letters:
+        if a:
+            s = Decimal(0)
+            new = [s]
+            for k, x in zip(range(1, order + 1), d):
+                s = (s + x) * half
+                new.append(s / k)
+            d = new
+        else:
+            d = [d[0]] + [d[k] / k for k in range(1, order + 1)]
+        values.append(sum(d))
+    return values
+
+
 def _mzv_decimal(indices, tol, cutoff=None):
-    """(value, error bound) for an admissible index, in Decimal."""
-    idx = _validate_indices(indices)
-    depth = len(idx)
-    if depth == 1:
-        return _zeta_decimal(idx[0], tol, cutoff=cutoff)
-    prefix, b = idx[:-1], idx[-1]
-    accelerated = all(n >= 2 for n in prefix)
-    ones = sum(1 for n in prefix if n == 1)
+    """(value, error bound) for an admissible index, in the current Decimal context.
 
-    if accelerated:
-        sub_series, sub_errs = _mzv_tail_series(prefix, tol / 8)
-        sub_value, sub_bound = _mzv_decimal(prefix, tol / 8)
+    For the word ``w = a_1 ... a_n`` (letter 1 at the 0 end) the path from 0
+    to 1 splits at 1/2, and ``t -> 1 - t`` maps the upper piece onto
+    ``[0, 1/2]`` with the letters swapped, so
 
-        def tail_pieces(l):
-            # the full truncated depth-(r-1) sum at k < a splits as
-            # M' - R'(a); summing against a^-b turns the series for R'
-            # into numeric Euler-Maclaurin tails, every piece bounded
-            a = l + 1
-            t_b, tb_b = _series_tail(b, a)
-            corr = sub_value * t_b
-            bound = sub_bound * (t_b + tb_b) + sub_value * tb_b
-            for p_i, c_i in sorted(sub_series.items()):
-                t_q, tb_q = _series_tail(p_i + b, a)
-                corr -= c_i * t_q
-                bound += abs(c_i) * tb_q
-            for e_c, e_p in sub_errs:
-                t_q, tb_q = _series_tail(e_p + b, a)
-                bound += e_c * (t_q + tb_q)
-            return corr, bound
+        zeta(w) = sum_{j=0..n} L(a_1 ... a_j) * L(~a_n ... ~a_{j+1})
 
-        def bound_at(l):
-            return tail_pieces(l)[1]
+    with ``L(u) = I(0; u; 1/2)`` and ``~`` swapping 0 and 1.  Every L is a
+    series with non-negative coefficients, at most 1, and cut at the same
+    order K: the smallest one whose summed tails stay under ``tol / 2``, or
+    ``cutoff`` when given (raised to the least order the tail bound covers).
+    """
+    letters = iterated_integral_word(indices).letters
+    n = len(letters)
+    dual = tuple(1 - a for a in reversed(letters))
+    # ones in a_1..a_j, and in ~a_n..~a_{j+1} (the zeros of a_{j+1}..a_n)
+    ones = [sum(letters[:j]) for j in range(n + 1)]
+    dual_ones = [n - j - (ones[n] - ones[j]) for j in range(n + 1)]
+    counts = Counter(ones + dual_ones)
+    least = max(1, 2 * max(counts) - 2)
 
-    else:
-
-        def bound_at(l):
-            zprod = _ZETA2_UPPER ** sum(1 for n in prefix if n >= 2)
-            return zprod * _log_power_integral(ones, b, l)
+    def truncation(order):
+        return sum(m * _tail_bound(order, p) for p, m in counts.items())
 
     if cutoff is not None:
-        big_l = max(int(cutoff), depth + 1)
+        order = max(int(cutoff), least)
     else:
-        big_l = 256
-        # the crude majorant needs its integrand decreasing past the cutoff
-        while big_l <= max(256, math.ceil(math.exp(ones / b))):
-            big_l *= 2
-        while bound_at(big_l) > tol / 2 and big_l < 1 << 21:
-            big_l *= 2
-        if bound_at(big_l) > tol:
-            raise ValueError(
-                f"cannot certify the requested accuracy for {idx}: "
-                f"truncation bound {float(bound_at(big_l)):.2e} at cutoff {big_l}"
-            )
+        # the bound decreases in the order: double, then bisect
+        lo, order = least - 1, least
+        while truncation(order) > tol / 2:
+            lo, order = order, 2 * order
+        while order - lo > 1:
+            mid = (lo + order) // 2
+            if truncation(mid) > tol / 2:
+                lo = mid
+            else:
+                order = mid
 
-    one = Decimal(1)
-    sums = [Decimal(0)] * (depth + 1)
-    exponents = list(idx)
-    for l in range(1, big_l + 1):
-        dl = Decimal(l)
-        powers = {n: one / dl ** n for n in set(exponents)}
-        for i in range(depth, 1, -1):
-            s_prev = sums[i - 1]
-            if s_prev:
-                sums[i] += s_prev * powers[exponents[i - 1]]
-        sums[1] += powers[exponents[0]]
-    value = sums[depth]
-
-    if accelerated:
-        corr, bound = tail_pieces(big_l)
-        value += corr
-    else:
-        bound = bound_at(big_l)
-    return value, bound
+    left = _prefix_values(letters, order)
+    right = _prefix_values(dual, order)
+    value = sum(left[j] * right[n - j] for j in range(n + 1))
+    # Rounding: every operation errs by at most u = 10^(1 - prec) on values
+    # below 10.  One letter adds at most 5u per coefficient to the l1 norm
+    # of d (the S recursion halves its errors), later letters never enlarge
+    # it, and summing d adds K u; so L after j letters is off by
+    # (5j + 1) K u.  The n + 1 products and sums then give at most
+    # (n + 1)((5n + 2) K + 2) u <= 6 (n + 1)^2 (K + 1) u, whose remainder
+    # also covers the rounding of the tail bounds.
+    ulp = Decimal(10) ** (1 - getcontext().prec)
+    slack = 6 * (n + 1) ** 2 * (order + 1) * ulp
+    return value, truncation(order) + slack
 
 
 def _digits_to_tol(target_digits):
@@ -317,19 +193,14 @@ def zeta(n, target_digits=12):
     n = int(n)
     if n < 2:
         raise ValueError("zeta(n) needs n >= 2")
-    with localcontext() as ctx:
-        ctx.prec = target_digits + 15
-        value, _ = _zeta_decimal(n, _digits_to_tol(target_digits))
-    return float(value)
+    return mzv((n,), target_digits)
 
 
 def mzv(indices, target_digits=12):
     """Multiple zeta value of an admissible index tuple, as a float.
 
-    Raises when the requested accuracy cannot be certified: an index
-    containing a 1 converges too slowly for the implemented tail bounds
-    beyond a few digits, while indices with all entries >= 2 reach
-    14 digits comfortably.
+    Every admissible index, with or without entries equal to 1, is
+    certified to ``target_digits`` decimals.
     """
     value, _ = mzv_with_error(indices, target_digits)
     return float(value)
@@ -338,16 +209,17 @@ def mzv(indices, target_digits=12):
 def mzv_with_error(indices, target_digits=12, cutoff=None):
     """(value, certified error bound) as Decimals.
 
-    ``cutoff`` pins the outer truncation point instead of choosing it from
-    the accuracy target; the returned bound then reports what that cutoff
-    actually certifies.  Intended for convergence diagnostics.
+    ``cutoff`` pins the series order K instead of choosing it from the
+    accuracy target (raised to ``2 max(depth, weight - depth) - 2`` if
+    lower, where the tail bound starts to hold); the returned bound then
+    reports what that order actually certifies.  Intended for convergence
+    diagnostics.
     """
+    tol = _digits_to_tol(target_digits)
     with localcontext() as ctx:
         ctx.prec = target_digits + 15
-        value, bound = _mzv_decimal(indices, _digits_to_tol(target_digits), cutoff=cutoff)
-        # rounding slack: the partial sums do O(depth * cutoff) operations
-        slack = Decimal(len(tuple(indices)) * 4) * Decimal(10) ** (7 - ctx.prec)
-        return +value, +(bound + slack)
+        value, bound = _mzv_decimal(indices, tol, cutoff=cutoff)
+        return +value, +bound
 
 
 def stuffle_check(m, n, tol=1e-10):
@@ -359,16 +231,14 @@ def stuffle_check(m, n, tol=1e-10):
     if m < 2 or n < 2:
         raise ValueError("stuffle check needs both indices >= 2")
     digits = max(6, int(-math.log10(tol)) + 3)
+
+    def z(*idx):
+        return mzv_with_error(idx, digits)[0]
+
     with localcontext() as ctx:
         ctx.prec = digits + 15
-        zm, _ = _zeta_decimal(m, _digits_to_tol(digits))
-        zn, _ = _zeta_decimal(n, _digits_to_tol(digits))
-        lhs = zm * zn
-        rhs = (
-            _mzv_decimal((m, n), _digits_to_tol(digits))[0]
-            + _mzv_decimal((n, m), _digits_to_tol(digits))[0]
-            + _zeta_decimal(m + n, _digits_to_tol(digits))[0]
-        )
+        lhs = z(m) * z(n)
+        rhs = z(m, n) + z(n, m) + z(m + n)
         return abs(lhs - rhs) <= Decimal(str(tol))
 
 
@@ -378,8 +248,10 @@ class IteratedIntegralWord:
 
     ``letters`` spells the forms dx/x (letter 0) and dx/(1-x) (letter 1)
     left to right; the word for (n_1, ..., n_r) is
-    ``1 0^(n_1 - 1) 1 0^(n_2 - 1) ... 1 0^(n_r - 1)`` with overall sign
-    (-1)^r.  The word length equals the weight.
+    ``1 0^(n_1 - 1) 1 0^(n_2 - 1) ... 1 0^(n_r - 1)``.  With these forms
+    the integral from 0 to 1 is the value itself; ``sign`` = (-1)^r is the
+    sign the word carries when letter 1 stands for dx/(x-1) instead.  The
+    word length equals the weight.
     """
 
     sign: int
@@ -401,16 +273,12 @@ def iterated_integral_word(indices):
 
 def p35(target_digits=12):
     """The weight-8 combination -(216/5) zeta(3,5) - 81 zeta(5) zeta(3) + (522/5) zeta(8)."""
+    z35, z5, z3, z8 = (
+        mzv_with_error(idx, target_digits + 2)[0] for idx in ((3, 5), (5,), (3,), (8,))
+    )
     with localcontext() as ctx:
         ctx.prec = target_digits + 15
-        tol = _digits_to_tol(target_digits + 2)
-        z35, _ = _mzv_decimal((3, 5), tol)
-        z5, _ = _zeta_decimal(5, tol)
-        z3, _ = _zeta_decimal(3, tol)
-        z8, _ = _zeta_decimal(8, tol)
-        value = (
-            Decimal(-216) / 5 * z35 - 81 * z5 * z3 + Decimal(522) / 5 * z8
-        )
+        value = Decimal(-216) / 5 * z35 - 81 * z5 * z3 + Decimal(522) / 5 * z8
     return float(value)
 
 

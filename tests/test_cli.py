@@ -2,11 +2,14 @@
 
 import json
 
+import pytest
+
 from feynperiods.cli import run
 
 TRIANGLE = "fixtures/triangle.json"
 BANANA = "fixtures/banana.json"
 FOURGRAPH = "fixtures/fourgraph.json"
+P35 = 2.2345650561425603
 
 
 def invoke(capsys, *argv):
@@ -56,6 +59,20 @@ def test_period_expect_pass(capsys):
     assert "PASS" in out
 
 
+def test_period_expect_whitelist(capsys):
+    code, _, err = invoke(
+        capsys, "period", BANANA, "--samples", "1000",
+        "--expect", "().__class__.__base__.__subclasses__()",
+    )
+    assert code == 1
+    assert "not allowed" in err
+    for expr, ref in (("6*zeta(3)", 6 * 1.2020569031595942), ("-p35+2**3", 8 - P35)):
+        code, out, _ = invoke(capsys, "period", BANANA, "--samples", "1000",
+                              f"--expect={expr}", "--json")
+        assert code == 0
+        assert json.loads(out)["results"]["expect"] == pytest.approx(ref, abs=1e-13), expr
+
+
 def test_period_json(capsys):
     code, out, _ = invoke(capsys, "period", BANANA, "--samples", "10000", "--json")
     assert code == 0
@@ -100,6 +117,12 @@ def test_check_ratio_verdicts(capsys):
     code, out, _ = invoke(capsys, "galois", "check-ratio", "3025/5", "-7308/5")
     assert code == 0
     assert "FAIL" in out
+    # a negative fraction first is a coefficient, not an option
+    code, out, _ = invoke(capsys, "galois", "check-ratio", "-3024/5", "7308/5", "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["results"]["c1"] == "-3024/5"
+    assert doc["results"]["passed"] and doc["results"]["sign"] == -1
 
 
 def test_exit_codes(capsys):

@@ -2,14 +2,22 @@
 
 The reference decimals in this file were produced by a separate
 brute-force script (direct partial sums in 40-digit decimal arithmetic
-with integral-sandwich tail bounds) and then frozen here.
+with integral-sandwich tail bounds) and then frozen here.  The depth-3
+values with a 1 come from mpmath at 50 digits: the outer sum over k_1 of
+k_1^-a times the log-free tail sum_{k_1 < k_2 < k_3} k_2^-b k_3^-c,
+Richardson-extrapolated in 1/N over N = 50 * 2^j.  They agree to 25
+digits with zeta(1,3,2) = (53 zeta(6) - 36 zeta(3)^2) / 24,
+zeta(2,1,2) = (9 zeta(5) - 4 zeta(2) zeta(3)) / 2 and
+zeta(1,1,3) = 2 zeta(5) - zeta(2) zeta(3).
 """
 
 import math
-from decimal import Decimal
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from feynperiods.mzv import (
     IteratedIntegralWord,
@@ -31,6 +39,9 @@ ZETA5 = Decimal("1.036927755143369926")
 ZETA8 = Decimal("1.004077356197944339")
 ZETA35 = Decimal("0.03770767298484754401")
 ZETA22 = Decimal("0.81174242528335364364")
+ZETA132 = Decimal("0.07922139756520716600")
+ZETA212 = Decimal("0.71156619755057243210")
+ZETA113 = Decimal("0.09655115998944373447")
 P35 = 2.2345650561425603
 P35_PERIOD = 71.50608179656193
 
@@ -105,15 +116,51 @@ def test_mzv_22_closed_form():
     assert value == pytest.approx(math.pi ** 4 / 120, abs=1e-13)
 
 
-def test_mzv_euler_identity_at_low_accuracy():
-    # sum over k1 < k2 of 1/(k1 k2^2) equals zeta(3); the inner 1 makes the
-    # sum converge like (ln L)/L, so only a few digits are certifiable and
-    # higher targets refuse rather than guess
-    value, bound = mzv_with_error((1, 2), 4)
+def test_mzv_euler_identity():
+    # sum over k1 < k2 of 1/(k1 k2^2) equals zeta(3); the inner 1 slows the
+    # nested sum to (ln L)/L, but the convolution at 1/2 does not care
+    value, bound = mzv_with_error((1, 2), 14)
     assert abs(value - ZETA3) <= bound
-    assert bound < Decimal("5e-4")
-    with pytest.raises(ValueError, match="cannot certify"):
-        mzv((1, 2), 12)
+    assert bound < Decimal("5e-15")
+
+
+def test_mzv_with_ones_against_frozen_values():
+    for idx, ref in (((1, 3, 2), ZETA132), ((2, 1, 2), ZETA212), ((1, 1, 3), ZETA113)):
+        value, bound = mzv_with_error(idx, 14)
+        assert abs(value - ref) <= bound + Decimal("1e-20"), idx
+        assert bound < Decimal("5e-15"), idx
+
+
+def _admissible(weight, depth):
+    """Every index of the given weight and depth whose last entry is >= 2."""
+    if depth == 1:
+        return [(weight,)] if weight >= 2 else []
+    return [
+        (first,) + rest
+        for first in range(1, weight - depth + 1)
+        for rest in _admissible(weight - first, depth - 1)
+    ]
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    shape=st.integers(min_value=3, max_value=8).flatmap(
+        lambda w: st.tuples(st.just(w), st.integers(min_value=2, max_value=w - 1))
+    ),
+    digits=st.integers(min_value=4, max_value=14),
+)
+def test_sum_theorem(shape, digits):
+    # the sum of all admissible values of fixed weight and depth is zeta(weight)
+    weight, depth = shape
+    total, slack = mzv_with_error((weight,), digits)
+    with localcontext() as ctx:
+        ctx.prec = 60  # exact sums of the 30-odd-digit terms
+        for idx in _admissible(weight, depth):
+            value, bound = mzv_with_error(idx, digits)
+            total -= value
+            slack += bound
+        assert abs(total) <= slack
+    assert slack < Decimal(len(_admissible(weight, depth)) + 1).scaleb(-digits)
 
 
 def test_divergent_indices_rejected():
