@@ -39,7 +39,6 @@ from .periods import PeriodEstimate, g_minus_2_two_loop, integrate
 from .polynomials import SparsePolynomial, parse_polynomial
 from .symanzik import (
     Factorization,
-    SpanningForestSet,
     SymanzikSet,
     partial_factor_psi,
     phi,

@@ -382,6 +382,11 @@ def _add_integrand_flags(parser):
                         help="power of the mass-momentum polynomial (default 0)")
 
 
+# read a single-dash token that is no declared option as a value, such as the
+# coefficient -3024/5 or the expression -p35+2**3 (argparse's default: -3024)
+_DASH_VALUE = re.compile(r"^-[^-]")
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="feynperiods",
@@ -412,6 +417,7 @@ def build_parser():
                    help="Dirichlet concentration for simplex sampling (default uniform)")
     p.add_argument("--expect", default=None, metavar="EXPR",
                    help=f"reference value to compare against; {_EXPECT_DOC}")
+    p._negative_number_matcher = _DASH_VALUE
     _add_json_flag(p)
     p.set_defaults(func=_cmd_period)
 
@@ -448,8 +454,7 @@ def build_parser():
     g = gsub.add_parser("check-ratio", help="check two coefficients against the 12/29 ratio")
     g.add_argument("coeffs", nargs=2, metavar="C",
                    help="two rational coefficients, e.g. 3024/5 -7308/5")
-    # read -3024/5 as a coefficient, as argparse already does for -3024
-    g._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
+    g._negative_number_matcher = _DASH_VALUE
     _add_json_flag(g)
     g.set_defaults(func=_cmd_galois_check_ratio)
 

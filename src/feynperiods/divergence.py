@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .graphs import _classes
 from .polynomials import SparsePolynomial
 
 
@@ -50,21 +51,7 @@ def subgraph_loop_number(g, gamma):
     """Loop number of the subgraph induced by the edge ids ``gamma``."""
     edges = [g.edge_by_id(eid) for eid in gamma]
     verts = {v for e in edges for v in e.ends}
-    idx = {v: i for i, v in enumerate(verts)}
-    parent = list(range(len(verts)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    comps = len(verts)
-    for e in edges:
-        a, b = find(idx[e.ends[0]]), find(idx[e.ends[1]])
-        if a != b:
-            parent[a] = b
-            comps -= 1
+    comps = len(set(_classes(verts, (e.ends for e in edges)).values()))
     return len(edges) - len(verts) + comps
 
 

@@ -39,6 +39,27 @@ def _as_fraction(value, where=""):
     raise ValueError(f"not an exact rational at {where or 'input'}: {value!r}")
 
 
+def _classes(vertices, pairs):
+    """Map each vertex to the smallest vertex joined to it through ``pairs``."""
+    parent = {v: v for v in vertices}
+    for a, b in pairs:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        while parent[b] != b:
+            parent[b] = parent[parent[b]]
+            b = parent[b]
+        if a != b:
+            if b < a:
+                a, b = b, a
+            parent[b] = a
+    # every link points to a smaller vertex, so in ascending order a vertex's
+    # parent is already resolved to its root when the vertex is reached
+    for v in sorted(parent):
+        parent[v] = parent[parent[v]]
+    return parent
+
+
 @dataclass(frozen=True)
 class Edge:
     """Internal edge: id, unordered endpoints, squared mass."""
@@ -123,21 +144,10 @@ class FeynmanGraph:
 
         Leg-only and isolated vertices each form their own component.
         """
-        parent = {v: v for v in self.vertices}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for e in self.edges:
-            a, b = find(e.ends[0]), find(e.ends[1])
-            if a != b:
-                parent[a] = b
+        rep = _classes(self.vertices, (e.ends for e in self.edges))
         groups = {}
         for v in self.vertices:
-            groups.setdefault(find(v), []).append(v)
+            groups.setdefault(rep[v], []).append(v)
         return tuple(tuple(sorted(g)) for g in sorted(groups.values()))
 
     def is_connected(self):
@@ -194,23 +204,7 @@ class FeynmanGraph:
             e = self.edge_by_id(eid)
             if e.is_loop:
                 raise ValueError(f"cannot contract self-loop edge {eid}")
-        parent = {v: v for v in self.vertices}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for e in self.edges:
-            if e.id in gamma:
-                a, b = find(e.ends[0]), find(e.ends[1])
-                if a != b:
-                    # keep the smallest name as the class representative
-                    if b < a:
-                        a, b = b, a
-                    parent[b] = a
-        rep = {v: find(v) for v in self.vertices}
+        rep = _classes(self.vertices, (e.ends for e in self.edges if e.id in gamma))
         return FeynmanGraph(
             vertices=tuple(sorted({rep[v] for v in self.vertices})),
             edges=tuple(

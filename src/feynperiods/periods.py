@@ -30,7 +30,6 @@ import numpy as np
 
 from .divergence import IntegrandSpec, projective_degree
 from .mzv import mzv_with_error
-from .polynomials import _term_sort_key
 from .symanzik import psi_enumerate, xi
 
 _CHUNK = 1 << 18
@@ -51,26 +50,6 @@ class PeriodEstimate:
             raise ValueError("samples must be positive")
         if self.std_error < 0:
             raise ValueError("std_error must be nonnegative")
-
-
-def _compile_poly(poly, col):
-    """Polynomial -> [(float coeff, ((column, exponent), ...)), ...] in render order."""
-    out = []
-    for key in sorted(poly.terms, key=_term_sort_key):
-        out.append(
-            (float(poly.terms[key]), tuple((col[v], e) for v, e in key))
-        )
-    return out
-
-
-def _eval_compiled(terms, x):
-    acc = np.zeros(x.shape[0])
-    for coeff, factors in terms:
-        t = np.full(x.shape[0], coeff)
-        for c, e in factors:
-            t *= x[:, c] if e == 1 else x[:, c] ** e
-        acc += t
-    return acc
 
 
 def _run_chunk(payload, chunk):
@@ -95,13 +74,14 @@ def _run_chunk(payload, chunk):
         x[:, -1] = 1.0
         weight = np.prod(1.0 / (1.0 - t) ** 2, axis=1)
     vals = weight
+    cols = {eid: x[:, i] for i, eid in enumerate(payload["edge_ids"])}
     num = payload["numerator"]
     if num is not None:
-        vals = vals * _eval_compiled(num, x)
+        vals = vals * num.evaluate(cols)
     if payload["psi_power"]:
-        vals = vals / _eval_compiled(payload["psi"], x) ** payload["psi_power"]
+        vals = vals / payload["psi"].evaluate(cols) ** payload["psi_power"]
     if payload["xi_power"]:
-        vals = vals / _eval_compiled(payload["xi"], x) ** payload["xi_power"]
+        vals = vals / payload["xi"].evaluate(cols) ** payload["xi_power"]
     return chunk, float(vals.sum()), float((vals * vals).sum())
 
 
@@ -145,8 +125,6 @@ def integrate(
     n_vars = g.n_edges
     if n_vars < 2:
         raise ValueError("need at least two edges to integrate")
-    col = {eid: i for i, eid in enumerate(sorted(g.edge_ids()))}
-    psi_poly = psi_enumerate(g)
     payload = {
         "seed": seed,
         "samples": samples,
@@ -155,7 +133,8 @@ def integrate(
         "boundary_bias": boundary_bias,
         "psi_power": spec.psi_power,
         "xi_power": spec.xi_power,
-        "psi": _compile_poly(psi_poly, col),
+        "edge_ids": sorted(g.edge_ids()),
+        "psi": psi_enumerate(g),
         "xi": None,
         "numerator": None,
     }
@@ -165,9 +144,9 @@ def integrate(
             raise ValueError("xi vanishes identically; the integrand is singular")
         if any(c < 0 for c in xi_poly.terms.values()):
             raise ValueError("xi has a negative coefficient; not in the Euclidean region")
-        payload["xi"] = _compile_poly(xi_poly, col)
+        payload["xi"] = xi_poly
     if spec.numerator != 1:
-        payload["numerator"] = _compile_poly(spec.numerator, col)
+        payload["numerator"] = spec.numerator
     b = 1.0 if boundary_bias is None else boundary_bias
     payload["chart_weight"] = math.gamma(b) ** n_vars / math.gamma(n_vars * b)
 
@@ -187,8 +166,13 @@ def integrate(
         s1 += a
         s2 += b2
     mean = s1 / samples
-    var = max(0.0, s2 / samples - mean * mean)
-    std_error = math.sqrt(var / max(1, samples - 1))
+    var = s2 / samples - mean * mean
+    if not (math.isfinite(mean) and math.isfinite(var)):
+        raise ValueError(
+            f"the integrand hit psi = 0 or xi = 0 at some sample (mean {mean}, "
+            f"variance {var}); a small boundary_bias can underflow the draws to 0"
+        )
+    std_error = math.sqrt(max(0.0, var) / max(1, samples - 1))
     return PeriodEstimate(
         value=mean, std_error=std_error, samples=samples, seed=seed, workers=workers
     )

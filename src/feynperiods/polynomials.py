@@ -15,6 +15,8 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
+import numpy as np
+
 Coeff = int | Fraction
 MonomialKey = tuple[tuple[int, int], ...]
 
@@ -54,6 +56,9 @@ class SparsePolynomial:
 
     def __setattr__(self, name, value):
         raise AttributeError("SparsePolynomial is immutable")
+
+    def __reduce__(self):
+        return (SparsePolynomial, (self.terms,))
 
     # -- constructors ------------------------------------------------------
 
@@ -218,22 +223,27 @@ class SparsePolynomial:
         return self.terms.get(key, 0)
 
     def evaluate(self, values):
-        """Evaluate at a point, in floating arithmetic.
+        """Evaluate in floating arithmetic, at one point or at many at once.
 
-        ``values`` maps variable id to a number.  Terms are summed in the
-        canonical rendering order (graded, then lexicographic), which fixes
-        the floating result across runs.  A variable of the polynomial
-        missing from ``values`` is an error.
+        ``values`` maps variable id to a number, or to a numpy array (all of
+        one shape) to evaluate at many points; the result is a float or an
+        array of that shape.  Terms are summed in the canonical rendering
+        order (graded, then lexicographic), which fixes the floating result
+        across runs, and a point gets the same bits whether it comes alone
+        or inside an array.  A variable of the polynomial missing from
+        ``values`` is an error.
         """
-        total = 0.0
+        cols = {v: np.asarray(x, dtype=float) for v, x in values.items()}
+        shape = np.broadcast_shapes(*(c.shape for c in cols.values()))
+        total = np.zeros(shape)
         for key in sorted(self.terms, key=_term_sort_key):
-            t = float(self.terms[key])
+            t = np.full(shape, float(self.terms[key]))
             for v, e in key:
-                if v not in values:
+                if v not in cols:
                     raise ValueError(f"no value given for variable a{v}")
-                t *= float(values[v]) ** e
+                t *= cols[v] if e == 1 else cols[v] ** e
             total += t
-        return total
+        return total if shape else float(total)
 
     # -- rendering ---------------------------------------------------------
 

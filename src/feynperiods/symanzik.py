@@ -20,17 +20,20 @@ For a connected graph G with edge variables a_e:
 
       xi_G = phi_G + (sum_e m_e^2 a_e) * psi_G
 
-Both enumeration and a determinant route are provided for psi; they must
-agree exactly.  The determinant route evaluates the reduced edge-weighted
+psi and phi are sums over spanning k-forests (k = 1 and k = 2), and so is
+psi_gamma below; one enumerator produces the forests for every k.  Both
+enumeration and a determinant route are provided for psi; they must agree
+exactly.  The determinant route evaluates the reduced edge-weighted
 Laplacian by fraction-free elimination, never leaving the polynomial ring.
 
 Partial factorizations: for a subgraph gamma (a set of edge ids) write
 
       psi_G = psi_gamma * psi_{G/gamma} + R
 
-where psi_gamma is the product of the first polynomials of gamma's connected
-components and G/gamma is the contraction.  Every term of R has degree in
-the gamma variables strictly greater than deg psi_gamma = h_gamma.  The
+where psi_gamma is the sum over spanning forests of gamma with one tree per
+connected component (the product of the components' first polynomials) and
+G/gamma is the contraction.  Every term of R has degree in the gamma
+variables strictly greater than deg psi_gamma = h_gamma.  The
 analogous xi decompositions isolate ultraviolet (contract gamma) and
 infrared (gamma carries all mass and momentum dependence) behaviour.
 """
@@ -40,8 +43,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from operator import itemgetter
 
-from .graphs import Edge, ExternalLeg, FeynmanGraph
 from .polynomials import SparsePolynomial, exact_divide
 
 
@@ -52,21 +55,31 @@ def _require_connected(g, what):
 
 # -- spanning forests ------------------------------------------------------
 
+_edge_id = itemgetter(2)
 
-def spanning_trees(g):
-    """All spanning trees, as sorted edge-id tuples in lexicographic order."""
-    _require_connected(g, "spanning tree enumeration")
+
+def _spanning_forests(g, k):
+    """Yield ``(edge_ids, parent)`` for every spanning k-forest of ``g``.
+
+    A spanning k-forest is a set of n - k non-loop edges (n vertices) with no
+    cycle; it has exactly k trees, so a graph with more than k components has
+    none.  Edge sets come in lexicographic order of their sorted ids.
+    ``parent`` is the union-find array over the vertex indices (sorted vertex
+    order); every link points to a smaller index, so one ascending pass of
+    ``parent[i] = parent[parent[i]]`` names each tree by its smallest vertex.
+    """
     verts = {v: i for i, v in enumerate(sorted(g.vertices))}
     n = len(verts)
-    need = n - 1
-    nonloop = [e for e in sorted(g.edges, key=lambda e: e.id) if not e.is_loop]
-    if need == 0:
-        return [()]
-    trees = []
-    pairs = [(verts[e.ends[0]], verts[e.ends[1]], e.id) for e in nonloop]
-    for combo in combinations(pairs, need):
+    if n < k:
+        return
+    pairs = [
+        (verts[e.ends[0]], verts[e.ends[1]], e.id)
+        for e in sorted(g.edges, key=lambda e: e.id)
+        if not e.is_loop
+    ]
+    for combo in combinations(pairs, n - k):
         parent = list(range(n))
-        ok = True
+        # inline on purpose: a union helper called per edge costs exact_polynomials 4% wall time
         for a, b, _ in combo:
             while parent[a] != a:
                 parent[a] = parent[parent[a]]
@@ -75,11 +88,22 @@ def spanning_trees(g):
                 parent[b] = parent[parent[b]]
                 b = parent[b]
             if a == b:
-                ok = False
-                break
+                break  # a cycle
+            if a < b:
+                a, b = b, a
             parent[a] = b
-        if ok:
-            trees.append(tuple(p[2] for p in combo))
+        else:
+            yield tuple(map(_edge_id, combo)), parent
+
+
+def spanning_trees(g):
+    """All spanning trees, as sorted edge-id tuples in lexicographic order."""
+    trees = [ids for ids, _ in _spanning_forests(g, 1)]
+    if not trees:
+        raise ValueError(
+            "spanning tree enumeration needs a connected graph "
+            f"(components: {len(g.components())})"
+        )
     return trees
 
 
@@ -93,76 +117,37 @@ def spanning_two_forests(g):
     """
     _require_connected(g, "2-forest enumeration")
     order = sorted(g.vertices)
-    verts = {v: i for i, v in enumerate(order)}
-    n = len(verts)
-    if n < 2:
-        return []
-    need = n - 2
-    nonloop = [e for e in sorted(g.edges, key=lambda e: e.id) if not e.is_loop]
-    pairs = [(verts[e.ends[0]], verts[e.ends[1]], e.id) for e in nonloop]
+    index = {v: i for i, v in enumerate(order)}
+    first_end = {e.id: index[e.ends[0]] for e in g.edges}
     forests = []
-    for combo in combinations(pairs, need):
-        parent = list(range(n))
-        ok = True
-        for a, b, _ in combo:
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            while parent[b] != b:
-                parent[b] = parent[parent[b]]
-                b = parent[b]
-            if a == b:
-                ok = False
-                break
-            parent[a] = b
-        if not ok:
-            continue  # a cycle; n-2 acyclic edges always leave exactly 2 components
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        root0 = find(0)
-        part_a, part_b = [], []
-        for v, i in verts.items():
-            (part_a if find(i) == root0 else part_b).append(v)
+    for edge_ids, parent in _spanning_forests(g, 2):
+        for i in range(len(order)):
+            parent[i] = parent[parent[i]]
+        # now parent[i] is the root of vertex i; vertex 0 is a root
+        verts_a, verts_b = [], []
+        for v, root in zip(order, parent):
+            (verts_b if root else verts_a).append(v)
         edges_a, edges_b = [], []
-        in_a = set(part_a)
-        for a, b, eid in combo:
-            (edges_a if order[a] in in_a else edges_b).append(eid)
-        forests.append(
-            (
-                (tuple(sorted(edges_a)), tuple(sorted(part_a))),
-                (tuple(sorted(edges_b)), tuple(sorted(part_b))),
-            )
-        )
+        for eid in edge_ids:
+            (edges_b if parent[first_end[eid]] else edges_a).append(eid)
+        forests.append(((tuple(edges_a), tuple(verts_a)), (tuple(edges_b), tuple(verts_b))))
     return forests
-
-
-@dataclass(frozen=True)
-class SpanningForestSet:
-    """The spanning trees and spanning 2-forests of one graph."""
-
-    trees: tuple
-    two_forests: tuple
-
-    @classmethod
-    def of(cls, g):
-        return cls(tuple(spanning_trees(g)), tuple(spanning_two_forests(g)))
 
 
 # -- the polynomials -------------------------------------------------------
 
 
+def _complement_sum(g, forests):
+    """``sum over (edge_ids, c) of c * prod_{e not in edge_ids} a_e``."""
+    all_ids = frozenset(g.edge_ids())
+    return SparsePolynomial(
+        [(tuple((v, 1) for v in sorted(all_ids - set(ids))), c) for ids, c in forests]
+    )
+
+
 def psi_enumerate(g):
     """First graph polynomial by direct spanning-tree enumeration."""
-    all_ids = frozenset(g.edge_ids())
-    terms = []
-    for tree in spanning_trees(g):
-        terms.append((tuple((v, 1) for v in sorted(all_ids - set(tree))), 1))
-    return SparsePolynomial(terms)
+    return _complement_sum(g, ((tree, 1) for tree in spanning_trees(g)))
 
 
 def _bareiss_determinant(m):
@@ -252,13 +237,12 @@ def phi(g):
     _require_connected(g, "phi")
     if not g.momentum_conserved():
         raise ValueError("external momenta do not sum to zero")
-    all_ids = frozenset(g.edge_ids())
     by_vertex = {}
     for leg in g.legs:
         acc = by_vertex.setdefault(leg.vertex, [Fraction(0)] * 4)
         for i, q in enumerate(leg.momentum):
             acc[i] += q
-    terms = []
+    forests = []
     for (edges_a, verts_a), (edges_b, _) in spanning_two_forests(g):
         total = [Fraction(0)] * 4
         for v in verts_a:
@@ -267,11 +251,9 @@ def phi(g):
                 for i in range(4):
                     total[i] += q[i]
         coeff = sum(q * q for q in total)
-        if not coeff:
-            continue
-        used = set(edges_a) | set(edges_b)
-        terms.append((tuple((v, 1) for v in sorted(all_ids - used)), coeff))
-    return SparsePolynomial(terms)
+        if coeff:
+            forests.append((edges_a + edges_b, coeff))
+    return _complement_sum(g, forests)
 
 
 def mass_term(g):
@@ -337,26 +319,16 @@ def _check_gamma(g, gamma):
     return gamma
 
 
-def _component_graphs(sub):
-    for comp in sub.components():
-        cv = set(comp)
-        yield FeynmanGraph(
-            vertices=tuple(sorted(cv)),
-            edges=tuple(e for e in sub.edges if e.ends[0] in cv),
-            legs=tuple(leg for leg in sub.legs if leg.vertex in cv),
-        )
-
-
 def psi_subgraph(g, gamma):
-    """Product of the first polynomials of gamma's connected components.
+    """First polynomial of the subgraph gamma induces, one tree per component.
 
+    The sum over spanning forests of gamma with one tree in each connected
+    component, which is the product of the components' first polynomials.
     Homogeneous of degree h_gamma, the loop number of the subgraph.
     """
     sub = g.induced_subgraph(gamma)
-    out = SparsePolynomial.one()
-    for comp in _component_graphs(sub):
-        out = out * psi_enumerate(comp)
-    return out
+    forests = _spanning_forests(sub, len(sub.components()))
+    return _complement_sum(sub, ((ids, 1) for ids, _ in forests))
 
 
 def partial_factor_psi(g, gamma):

@@ -71,6 +71,11 @@ def test_period_expect_whitelist(capsys):
                               f"--expect={expr}", "--json")
         assert code == 0
         assert json.loads(out)["results"]["expect"] == pytest.approx(ref, abs=1e-13), expr
+    # a leading minus also works as a separate token, without "="
+    code, out, _ = invoke(capsys, "period", BANANA, "--samples", "1000",
+                          "--expect", "-p35+2**3", "--json")
+    assert code == 0
+    assert json.loads(out)["results"]["expect"] == pytest.approx(8 - P35, abs=1e-13)
 
 
 def test_period_json(capsys):

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from feynperiods.divergence import IntegrandSpec
-from feynperiods.graphs import Edge, ExternalLeg, FeynmanGraph
+from feynperiods.graphs import Edge, ExternalLeg, FeynmanGraph, load_graph
 from feynperiods.periods import PeriodEstimate, g_minus_2_two_loop, integrate
 from feynperiods.polynomials import SparsePolynomial
 
@@ -113,6 +113,15 @@ def test_rejects_bad_inputs():
     )
     with pytest.raises(ValueError, match="vanishes"):
         integrate(fourgraph, singular)  # no legs, no masses: xi == 0
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_nonfinite_integrand_raises():
+    # Dirichlet(0.01) draws underflow to 0, so psi vanishes at some samples;
+    # the estimate must not come back as nan +- 0
+    k4 = load_graph("fixtures/k4.json")
+    with pytest.raises(ValueError, match="psi = 0 or xi = 0"):
+        integrate(k4, samples=4096, seed=0, boundary_bias=0.01)
 
 
 def test_period_estimate_validation():

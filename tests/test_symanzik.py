@@ -7,7 +7,6 @@ import pytest
 from feynperiods.graphs import Edge, ExternalLeg, FeynmanGraph, load_graph
 from feynperiods.polynomials import SparsePolynomial
 from feynperiods.symanzik import (
-    SpanningForestSet,
     SymanzikSet,
     mass_term,
     partial_factor_psi,
@@ -57,7 +56,6 @@ def test_two_forests_triangle():
         assert len(edges_a) + len(edges_b) == 1
         assert sorted(verts_a + verts_b) == ["v1", "v2", "v3"]
         assert verts_a[0] == min(verts_a + verts_b)
-    assert SpanningForestSet.of(triangle).two_forests == tuple(forests)
 
 
 def test_triangle_polynomials_match_display():
