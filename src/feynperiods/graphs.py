@@ -258,10 +258,12 @@ def graph_from_dict(data):
     """
     if not isinstance(data, dict):
         raise ValueError("graph document must be a JSON object")
-    try:
-        vertices = tuple(str(v) for v in data["vertices"])
-    except KeyError:
-        raise ValueError("missing 'vertices'") from None
+    if "vertices" not in data:
+        raise ValueError("missing 'vertices'")
+    for field in ("vertices", "edges", "legs"):
+        if not isinstance(data.get(field, []), (list, tuple)):
+            raise ValueError(f"'{field}' must be a list")
+    vertices = tuple(str(v) for v in data["vertices"])
     edges = []
     for i, e in enumerate(data.get("edges", [])):
         where = f"edges[{i}]"

@@ -46,6 +46,8 @@ class SparsePolynomial:
                 for v, e in key:
                     if v < 1 or e < 0:
                         raise ValueError(f"bad monomial entry ({v}, {e})")
+                if any(a == b for (a, _), (b, _) in zip(key, key[1:])):
+                    key = _merge_keys(key[:1], key[1:])  # add up a repeated variable
                 coeff = _normalize_coeff(clean.get(key, 0) + coeff)
                 if coeff:
                     clean[key] = coeff
@@ -323,7 +325,10 @@ def parse_polynomial(text):
         if not m:
             raise ValueError(f"cannot parse term {chunk!r}")
         if m.group("coeff") is not None:
-            coeff = Fraction(m.group("coeff"))
+            try:
+                coeff = Fraction(m.group("coeff"))
+            except ZeroDivisionError:
+                raise ValueError(f"zero denominator in term {chunk!r}") from None
             mono_text = m.group("tail")
         else:
             coeff = Fraction(1)
@@ -339,55 +344,3 @@ def parse_polynomial(text):
                 key[v] = key.get(v, 0) + e
         terms.append((tuple(sorted(key.items())), sign * coeff))
     return SparsePolynomial(terms)
-
-
-def _grlex_key(key: MonomialKey, var_order):
-    # true monomial order (graded lex on exponent vectors), used for division
-    exps = dict(key)
-    return (sum(exps.values()), tuple(exps.get(v, 0) for v in var_order))
-
-
-def exact_divide(p, d):
-    """Divide ``p`` by ``d`` in the polynomial ring; the division must be exact.
-
-    Raises ValueError when ``d`` does not divide ``p``.  Used by the
-    fraction-free determinant elimination, where every division is exact by
-    construction.
-    """
-    if d.is_zero():
-        raise ZeroDivisionError("polynomial division by zero")
-    if not p.terms:
-        return SparsePolynomial.zero()
-    if d.terms == {(): 1}:
-        return p
-    var_order = tuple(sorted(set(p.variables()) | set(d.variables())))
-    d_lead = max(d.terms, key=lambda k: _grlex_key(k, var_order))
-    d_lead_exps = dict(d_lead)
-    d_lead_coeff = d.terms[d_lead]
-    remainder = dict(p.terms)
-    quotient = {}
-    while remainder:
-        r_lead = max(remainder, key=lambda k: _grlex_key(k, var_order))
-        r_exps = dict(r_lead)
-        q_exps = {}
-        for v, e in d_lead_exps.items():
-            have = r_exps.get(v, 0)
-            if have < e:
-                raise ValueError("inexact polynomial division")
-            if have > e:
-                q_exps[v] = have - e
-        for v, e in r_exps.items():
-            if v not in d_lead_exps and e:
-                q_exps[v] = e
-        q_key = tuple(sorted(q_exps.items()))
-        q_coeff = _normalize_coeff(Fraction(remainder[r_lead]) / Fraction(d_lead_coeff))
-        quotient[q_key] = q_coeff
-        # remainder -= q_term * d
-        for k, c in d.terms.items():
-            key = _merge_keys(q_key, k)
-            s = remainder.get(key, 0) - q_coeff * c
-            if s:
-                remainder[key] = s
-            elif key in remainder:
-                del remainder[key]
-    return SparsePolynomial(quotient)

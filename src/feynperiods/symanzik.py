@@ -23,8 +23,9 @@ For a connected graph G with edge variables a_e:
 psi and phi are sums over spanning k-forests (k = 1 and k = 2), and so is
 psi_gamma below; one enumerator produces the forests for every k.  Both
 enumeration and a determinant route are provided for psi; they must agree
-exactly.  The determinant route evaluates the reduced edge-weighted
-Laplacian by fraction-free elimination, never leaving the polynomial ring.
+exactly.  The determinant route expands the reduced edge-weighted Laplacian
+by cofactors, which needs no division and so never leaves the polynomial
+ring.
 
 Partial factorizations: for a subgraph gamma (a set of edge ids) write
 
@@ -45,7 +46,7 @@ from fractions import Fraction
 from itertools import combinations
 from operator import itemgetter
 
-from .polynomials import SparsePolynomial, exact_divide
+from .polynomials import SparsePolynomial
 
 
 def _require_connected(g, what):
@@ -150,39 +151,29 @@ def psi_enumerate(g):
     return _complement_sum(g, ((tree, 1) for tree in spanning_trees(g)))
 
 
-def _bareiss_determinant(m):
-    """Exact determinant of a square matrix of polynomials.
+def _cofactor_determinant(m):
+    """Exact determinant of a square matrix of polynomials, with no division.
 
-    Fraction-free (single-step) elimination: every division is exact in the
-    polynomial ring, so intermediate entries stay polynomials rather than
-    rational functions.
+    Laplace expansion row by row: after each row, ``minors`` maps the set of
+    columns used so far (a bitmask S) to the minor of the rows done over S.
+    Entry (r, j) extends a minor over S with sign (-1)^|{c in S : c > j}|,
+    the inversions it adds; minors that cancel to zero are dropped.  The
+    empty matrix has determinant 1.
     """
-    n = len(m)
-    if n == 0:
-        return SparsePolynomial.one()
-    m = [row[:] for row in m]
-    sign = 1
-    prev = SparsePolynomial.one()
-    for k in range(n - 1):
-        if m[k][k].is_zero():
-            for i in range(k + 1, n):
-                if not m[i][k].is_zero():
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return SparsePolynomial.zero()
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            row_i = m[i]
-            row_k = m[k]
-            lead = row_i[k]
-            for j in range(k + 1, n):
-                row_i[j] = exact_divide(pivot * row_i[j] - lead * row_k[j], prev)
-            row_i[k] = SparsePolynomial.zero()
-        prev = pivot
-    det = m[n - 1][n - 1]
-    return det if sign > 0 else -det
+    minors = {0: SparsePolynomial.one()}
+    for row in m:
+        grown = {}
+        for cols, minor in minors.items():
+            for j, entry in enumerate(row):
+                if cols >> j & 1 or entry.is_zero():
+                    continue
+                term = entry * minor
+                if (cols >> j).bit_count() & 1:
+                    term = -term
+                key = cols | 1 << j
+                grown[key] = grown[key] + term if key in grown else term
+        minors = {cols: minor for cols, minor in grown.items() if minor}
+    return minors.get((1 << len(m)) - 1, SparsePolynomial.zero())
 
 
 def psi_determinant(g):
@@ -190,9 +181,9 @@ def psi_determinant(g):
 
     Build the Laplacian with weight a_e on each non-loop edge, delete the row
     and column of the largest vertex, and take the determinant by
-    fraction-free elimination.  That determinant is the spanning-tree sum
-    ``sum_T prod_{e in T} a_e``; complementing each monomial's support in the
-    non-loop edge set (and multiplying by every self-loop variable) gives
+    division-free cofactor expansion.  That determinant is the spanning-tree
+    sum ``sum_T prod_{e in T} a_e``; complementing each monomial's support in
+    the non-loop edge set (and multiplying by every self-loop variable) gives
     psi.  Must agree exactly with :func:`psi_enumerate`.
     """
     _require_connected(g, "psi")
@@ -217,7 +208,7 @@ def psi_determinant(g):
         if i < size and j < size:
             lap[i][j] = lap[i][j] - var
             lap[j][i] = lap[j][i] - var
-    kirchhoff = _bareiss_determinant(lap)
+    kirchhoff = _cofactor_determinant(lap)
     nonloop = frozenset(nonloop_ids)
     loop_key = tuple((v, 1) for v in sorted(loop_ids))
     terms = []

@@ -50,15 +50,21 @@ def _verdict(num, label, ok, elapsed, budget):
 
 
 def _connected_multigraphs(max_vertices=5, max_edges=7):
-    """Canonical representatives of all connected multigraphs in range.
+    """One representative of each connected multigraph in range.
 
     Loops and parallel edges allowed.  For each vertex count the edge
-    multisets are enumerated exhaustively, filtered for connectivity, and
-    deduplicated by the lexicographically least relabeling.
+    multisets are enumerated exhaustively and filtered for connectivity; the
+    first multiset of each isomorphism class is kept, and all of its images
+    under vertex relabeling are marked as seen.
     """
     for n in range(1, max_vertices + 1):
         slots = [(i, i) for i in range(n)] + list(itertools.combinations(range(n), 2))
-        perms = list(itertools.permutations(range(n)))
+        index = {slot: k for k, slot in enumerate(slots)}
+        # each relabeling as a map from slot index to slot index
+        relabelings = [
+            [index[tuple(sorted((p[a], p[b])))] for a, b in slots]
+            for p in itertools.permutations(range(n))
+        ]
         seen = set()
 
         def spans(counts):
@@ -88,14 +94,14 @@ def _connected_multigraphs(max_vertices=5, max_edges=7):
                 yield from rec(idx + 1, remaining - c, counts + [c])
 
         for counts in rec(0, max_edges, []):
-            pairs = [(a, b) for (a, b), c in zip(slots, counts) for _ in range(c)]
-            canon = min(
-                tuple(sorted(tuple(sorted((p[a], p[b]))) for a, b in pairs))
-                for p in perms
-            )
-            if canon in seen:
+            if counts in seen:
                 continue
-            seen.add(canon)
+            for target in relabelings:
+                image = [0] * len(slots)
+                for k, c in zip(target, counts):
+                    image[k] = c
+                seen.add(tuple(image))
+            pairs = [(a, b) for (a, b), c in zip(slots, counts) for _ in range(c)]
             verts = tuple(f"v{i}" for i in range(n))
             yield FeynmanGraph(
                 vertices=verts,

@@ -130,9 +130,15 @@ def test_check_ratio_verdicts(capsys):
     assert doc["results"]["passed"] and doc["results"]["sign"] == -1
 
 
-def test_exit_codes(capsys):
+def test_exit_codes(capsys, tmp_path):
     assert invoke(capsys, "symanzik", "missing.json")[0] == 1
     assert invoke(capsys, "zeta", "1,0")[0] == 1
     assert invoke(capsys, "galois", "check-ratio", "1/2")[0] == 2
     assert invoke(capsys, "frobnicate")[0] == 2
     assert invoke(capsys, "galois", "rep", "zeta-even", "--n", "3")[0] == 1
+    code, _, err = invoke(capsys, "divergence", "fixtures/k4.json", "--numerator", "1/0")
+    assert code == 1 and err.startswith("error:") and "'1/0'" in err
+    bad = tmp_path / "edges.json"
+    bad.write_text(json.dumps({"vertices": ["u", "v"], "edges": 3}))
+    code, _, err = invoke(capsys, "symanzik", str(bad))
+    assert code == 1 and err.startswith("error:") and "'edges'" in err

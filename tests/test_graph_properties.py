@@ -2,6 +2,7 @@
 
 import math
 import pickle
+from itertools import combinations, permutations
 
 import numpy as np
 from hypothesis import given, settings
@@ -9,8 +10,9 @@ from hypothesis import strategies as st
 
 from feynperiods.divergence import subgraph_loop_number
 from feynperiods.graphs import Edge, FeynmanGraph
-from feynperiods.polynomials import SparsePolynomial
+from feynperiods.polynomials import SparsePolynomial, parse_polynomial
 from feynperiods.symanzik import (
+    _cofactor_determinant,
     psi_determinant,
     psi_enumerate,
     psi_subgraph,
@@ -99,6 +101,47 @@ def test_two_forests_partition_the_vertices(g):
         assert len(edges_a) + len(edges_b) == len(g.vertices) - 2
         for edges, verts in ((edges_a, verts_a), (edges_b, verts_b)):
             assert all(ends[eid] <= set(verts) for eid in edges)
+
+
+def leibniz(m):
+    """``sum over permutations s of sgn(s) prod_i m[i][s(i)]``."""
+    total = SparsePolynomial.zero()
+    for s in permutations(range(len(m))):
+        inversions = sum(a > b for a, b in combinations(s, 2))
+        term = SparsePolynomial.constant(-1 if inversions % 2 else 1)
+        for i, j in enumerate(s):
+            term = term * m[i][j]
+        total = total + term
+    return total
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), n=st.integers(0, 4))
+def test_determinant_equals_leibniz_sum(data, n):
+    # about half the entries are zero, so leading minors often vanish
+    entry = st.just(SparsePolynomial.zero()) | polynomials()
+    m = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    assert _cofactor_determinant(m) == leibniz(m)
+
+
+@settings(max_examples=100, deadline=None)
+@given(p=polynomials(), q=polynomials(), r=polynomials())
+def test_polynomial_ring_axioms(p, q, r):
+    zero, one = SparsePolynomial.zero(), SparsePolynomial.one()
+    assert (p + q) + r == p + (q + r)
+    assert p + q == q + p
+    assert (p * q) * r == p * (q * r)
+    assert p * q == q * p
+    assert p * (q + r) == p * q + p * r
+    assert p + zero == p and p * one == p
+    assert p - p == zero
+
+
+@settings(max_examples=100, deadline=None)
+@given(p=polynomials())
+def test_render_parse_round_trip(p):
+    q = parse_polynomial(p.render())
+    assert q == p and q.render() == p.render()
 
 
 @settings(max_examples=100, deadline=None)

@@ -199,6 +199,14 @@ def test_load_graph_error_paths(tmp_path):
         load_graph(str(p))
 
 
+def test_graph_fields_must_be_lists():
+    for field, value in (("vertices", "uv"), ("edges", 3), ("legs", {"vertex": "u"})):
+        doc = {"vertices": ["u", "v"], "edges": [{"id": 1, "ends": ["u", "v"]}], "legs": []}
+        doc[field] = value
+        with pytest.raises(ValueError, match=f"'{field}' must be a list"):
+            graph_from_dict(doc)
+
+
 def test_fixture_files_load():
     for name, edges, loops in (
         ("triangle", 3, 1),
