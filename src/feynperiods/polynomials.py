@@ -65,6 +65,14 @@ class SparsePolynomial:
     # -- constructors ------------------------------------------------------
 
     @classmethod
+    def from_canonical(cls, terms):
+        """Wrap a dict already in canonical form (sorted keys, nonzero normalized coefficients)."""
+        out = cls.__new__(cls)
+        object.__setattr__(out, "terms", terms)
+        object.__setattr__(out, "_hash", None)
+        return out
+
+    @classmethod
     def zero(cls):
         return cls()
 
@@ -111,18 +119,12 @@ class SparsePolynomial:
                 terms[key] = s
             elif key in terms:
                 del terms[key]
-        out = SparsePolynomial.__new__(SparsePolynomial)  # terms already canonical
-        object.__setattr__(out, "terms", terms)
-        object.__setattr__(out, "_hash", None)
-        return out
+        return SparsePolynomial.from_canonical(terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = SparsePolynomial.__new__(SparsePolynomial)
-        object.__setattr__(out, "terms", {k: -c for k, c in self.terms.items()})
-        object.__setattr__(out, "_hash", None)
-        return out
+        return SparsePolynomial.from_canonical({k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         other = self._lift(other)
@@ -146,10 +148,9 @@ class SparsePolynomial:
                     terms[key] = s
                 elif key in terms:
                     del terms[key]
-        out = SparsePolynomial.__new__(SparsePolynomial)
-        object.__setattr__(out, "terms", {k: _normalize_coeff(c) for k, c in terms.items() if c})
-        object.__setattr__(out, "_hash", None)
-        return out
+        return SparsePolynomial.from_canonical(
+            {k: _normalize_coeff(c) for k, c in terms.items() if c}
+        )
 
     __rmul__ = __mul__
 

@@ -33,10 +33,17 @@ Partial factorizations: for a subgraph gamma (a set of edge ids) write
 
 where psi_gamma is the sum over spanning forests of gamma with one tree per
 connected component (the product of the components' first polynomials) and
-G/gamma is the contraction.  Every term of R has degree in the gamma
-variables strictly greater than deg psi_gamma = h_gamma.  The
-analogous xi decompositions isolate ultraviolet (contract gamma) and
-infrared (gamma carries all mass and momentum dependence) behaviour.
+G/gamma is the contraction.  The split is read off psi_G alone.  A term of
+psi_G is the complement of a spanning tree T, and its degree in the gamma
+variables, |gamma| - |T n gamma|, is at least h_gamma, with equality exactly
+when T n gamma is a spanning forest of gamma; T minus gamma is then a
+spanning tree of G/gamma, and every such pair of forest and tree makes one
+spanning tree of G.  So the terms of lowest gamma-degree are the product
+psi_gamma * psi_{G/gamma} with every coefficient 1: their gamma-parts are
+psi_gamma, their other parts psi_{G/gamma}, and all other terms form R, whose
+gamma-degree is strictly greater than h_gamma.  The analogous xi
+decompositions isolate ultraviolet (contract gamma) and infrared (gamma
+carries all mass and momentum dependence) behaviour.
 """
 
 from __future__ import annotations
@@ -147,8 +154,17 @@ def _complement_sum(g, forests):
 
 
 def psi_enumerate(g):
-    """First graph polynomial by direct spanning-tree enumeration."""
-    return _complement_sum(g, ((tree, 1) for tree in spanning_trees(g)))
+    """First graph polynomial by direct spanning-tree enumeration.
+
+    Graphs are immutable, so the result is memoised on the graph instance:
+    it is kept in the instance ``__dict__``, as ``functools.cached_property``
+    does, which frees it with the graph and keeps it out of ``==``, ``hash``
+    and ``repr``.
+    """
+    psi = g.__dict__.get("_psi")
+    if psi is None:
+        psi = g.__dict__["_psi"] = _complement_sum(g, ((tree, 1) for tree in spanning_trees(g)))
+    return psi
 
 
 def _cofactor_determinant(m):
@@ -327,14 +343,31 @@ def partial_factor_psi(g, gamma):
 
     Every term of the remainder R has degree in the gamma variables strictly
     greater than deg psi_gamma = h_gamma; the product term collects exactly
-    the spanning trees that restrict to spanning forests of gamma.
+    the spanning trees that restrict to spanning forests of gamma.  All three
+    parts are read off the terms of psi_G (see the module docstring).
     """
     gamma = _check_gamma(g, gamma)
     psi_g = psi_enumerate(g)
-    psi_gamma = psi_subgraph(g, gamma)
-    psi_quotient = psi_enumerate(g.contract_subgraph(gamma))
-    remainder = psi_g - psi_gamma * psi_quotient
-    return Factorization(psi_gamma, psi_quotient, remainder)
+    for eid in gamma:  # a self-loop in gamma leaves no quotient graph
+        if g.edge_by_id(eid).is_loop:
+            raise ValueError(f"cannot contract self-loop edge {eid}")
+    inside = set(gamma)
+    parts = [(tuple(p for p in key if p[0] in inside), key) for key in psi_g.terms]
+    # every spanning forest of gamma extends to a spanning tree of G, so the
+    # lowest gamma-degree is h_gamma
+    h_gamma = min(len(sub) for sub, _ in parts)
+    sub_terms, quotient_terms, remainder = {}, {}, {}
+    for sub, key in parts:
+        if len(sub) == h_gamma:
+            sub_terms[sub] = 1
+            quotient_terms[tuple(p for p in key if p[0] not in inside)] = 1
+        else:
+            remainder[key] = 1
+    return Factorization(
+        SparsePolynomial.from_canonical(sub_terms),
+        SparsePolynomial.from_canonical(quotient_terms),
+        SparsePolynomial.from_canonical(remainder),
+    )
 
 
 def xi_partial_factor_uv(g, gamma):
@@ -346,7 +379,7 @@ def xi_partial_factor_uv(g, gamma):
     """
     gamma = _check_gamma(g, gamma)
     xi_g = xi(g)
-    psi_gamma = psi_subgraph(g, gamma)
+    psi_gamma = partial_factor_psi(g, gamma).factor_sub
     xi_quotient = xi(g.contract_subgraph(gamma))
     return Factorization(psi_gamma, xi_quotient, xi_g - psi_gamma * xi_quotient)
 

@@ -12,7 +12,9 @@ from feynperiods.divergence import subgraph_loop_number
 from feynperiods.graphs import Edge, FeynmanGraph
 from feynperiods.polynomials import SparsePolynomial, parse_polynomial
 from feynperiods.symanzik import (
+    Factorization,
     _cofactor_determinant,
+    partial_factor_psi,
     psi_determinant,
     psi_enumerate,
     psi_subgraph,
@@ -88,6 +90,25 @@ def test_subgraph_polynomial_and_loop_number(data, g):
     factors = [psi_enumerate(c) for c in components_as_graphs(sub)]
     assert psi_subgraph(g, gamma) == math.prod(factors, start=SparsePolynomial.one())
     assert subgraph_loop_number(g, gamma) == sub.loop_number()
+
+
+@settings(max_examples=100, deadline=None)
+@given(g=connected_multigraphs())
+def test_partial_factor_equals_subgraph_times_quotient(g):
+    # the oracle builds psi_gamma and psi_{G/gamma} on their own graphs, from
+    # a fresh copy of g that shares no memoised psi with it
+    fresh = FeynmanGraph(vertices=g.vertices, edges=g.edges, legs=g.legs)
+    psi = psi_enumerate(fresh)
+    loops = {e.id for e in g.edges if e.is_loop}
+    ids = sorted(g.edge_ids())
+    for r in range(1, len(ids)):
+        for gamma in combinations(ids, r):
+            if loops.intersection(gamma):
+                continue
+            sub = psi_subgraph(fresh, gamma)
+            quotient = psi_enumerate(fresh.contract_subgraph(gamma))
+            expect = Factorization(sub, quotient, psi - sub * quotient)
+            assert partial_factor_psi(g, gamma) == expect, gamma
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,10 +1,18 @@
 """Graph polynomials: enumeration, determinant route, partial factorizations."""
 
+import pickle
 from fractions import Fraction
 
 import pytest
 
-from feynperiods.graphs import Edge, ExternalLeg, FeynmanGraph, load_graph
+from feynperiods.graphs import (
+    Edge,
+    ExternalLeg,
+    FeynmanGraph,
+    graph_from_dict,
+    graph_to_dict,
+    load_graph,
+)
 from feynperiods.polynomials import SparsePolynomial
 from feynperiods.symanzik import (
     SymanzikSet,
@@ -213,3 +221,31 @@ def test_gamma_validation():
         partial_factor_psi(triangle, (1, 2, 3))
     with pytest.raises(ValueError, match="no edge"):
         partial_factor_psi(triangle, (9,))
+    looped = FeynmanGraph(
+        vertices=("u", "v"),
+        edges=(Edge(1, ("u", "v")), Edge(2, ("v", "v")), Edge(3, ("u", "u")), Edge(4, ("u", "v"))),
+    )
+    with pytest.raises(ValueError, match="cannot contract self-loop edge 2$"):
+        partial_factor_psi(looped, (3, 2, 1))
+    with pytest.raises(ValueError, match="cannot contract self-loop edge 3$"):
+        xi_partial_factor_uv(looped, (3,))
+
+
+def test_psi_memo_is_invisible():
+    g = load_graph("fixtures/wheel4.json")
+    doc = graph_to_dict(g)
+    psi = psi_enumerate(g)
+    assert psi_enumerate(g) is psi
+    twin = graph_from_dict(doc)
+    assert g == twin and hash(g) == hash(twin) and repr(g) == repr(twin)
+    assert graph_to_dict(g) == doc
+    assert pickle.loads(pickle.dumps(g)) == g
+    # minors are new graphs with their own psi
+    for minor in (g.delete_edge(1), g.contract_subgraph((1, 2))):
+        assert psi_enumerate(minor) != psi
+        assert psi_enumerate(minor) == psi_determinant(minor)
+    # plant a wrong memo: psi_enumerate returns it, psi_determinant does not look
+    [key] = [k for k, v in vars(g).items() if v is psi]
+    vars(g)[key] = psi + 1
+    assert psi_enumerate(g) == psi + 1
+    assert psi_determinant(g) == psi
