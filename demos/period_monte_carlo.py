@@ -16,8 +16,12 @@ print(f"banana:  {est.value} +- {est.std_error}  (exactly 1, zero variance)")
 
 # K4 is the first interesting primitive graph; its period is 6 zeta(3).
 # Uniform simplex sampling has infinite variance here because the
-# integrand blows up where a triangle's parameters vanish together, so
-# bias the sampler toward the boundary (Dirichlet 0.5) and weight back.
+# integrand blows up where a triangle's parameters vanish together.
+# Biasing the sampler toward the boundary (Dirichlet 0.5) and weighting
+# back tames the spread, but the variance stays infinite: the two-loop,
+# five-edge subgraph in K4 would need a bias below 0.4, and no fixed bias
+# works at every loop order.  Treat the error bars below as indicative;
+# tropical sampling (ROADMAP item 2) is the planned fix.
 k4 = load_graph("fixtures/k4.json")
 ref = 6 * zeta(3)
 t0 = time.time()

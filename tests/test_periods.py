@@ -2,12 +2,15 @@
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from feynperiods.divergence import IntegrandSpec
 from feynperiods.graphs import Edge, ExternalLeg, FeynmanGraph, load_graph
-from feynperiods.periods import PeriodEstimate, g_minus_2_two_loop, integrate
-from feynperiods.polynomials import SparsePolynomial
+from feynperiods.periods import _CHUNK, PeriodEstimate, g_minus_2_two_loop, integrate
+from feynperiods.polynomials import SparsePolynomial, parse_polynomial
 
 
 def banana(mass_sq=0):
@@ -65,6 +68,56 @@ def test_reproducible_for_any_worker_count():
     assert runs[1].workers == 3
 
 
+BLOCK = 1 << 14  # rows per integrand block in periods._run_chunk
+# One full chunk plus a partial one that ends 7 rows into its fourth block.
+GOLDEN_SAMPLES = _CHUNK + 3 * BLOCK + 7
+GOLDEN_NUMERATOR = IntegrandSpec(
+    numerator=parse_polynomial("2*a1*a2*a3 + a4^3 + 1/3*a5^2*a6"), psi_power=3
+)
+
+
+@pytest.mark.parametrize(
+    "graph, spec, kwargs, value, std_error",
+    [
+        ("k4", None, {}, "7.210551942580054", "0.14631132399244098"),
+        ("k4", None, {"boundary_bias": 0.5}, "7.189517702746506", "0.025219908662613"),
+        (
+            "banana", MASSIVE_SPEC, {"chart": "affine"},
+            "0.8609077242855216", "0.00010333998149073306",
+        ),
+        ("banana", MASSIVE_SPEC, {}, "0.8609072548564936", "0.00010327697316276544"),
+        ("k4", GOLDEN_NUMERATOR, {"boundary_bias": 0.5}, "932.621065540807", "286.5601314960576"),
+    ],
+    ids=["simplex-uniform", "simplex-dirichlet", "affine-xi", "simplex-xi", "numerator"],
+)
+def test_seeded_bits_are_pinned(graph, spec, kwargs, value, std_error):
+    # a change to the draws, the weights, the integrand's arithmetic or the
+    # order of the sums moves these bits
+    g = load_graph("fixtures/k4.json") if graph == "k4" else banana(1)
+    est = integrate(g, spec, samples=GOLDEN_SAMPLES, seed=20261018, **kwargs)
+    assert (repr(est.value), repr(est.std_error)) == (value, std_error)
+
+
+@settings(max_examples=8, deadline=None)
+@given(
+    case=st.sampled_from(["banana-xi", "k4-dirichlet"]),
+    samples=st.integers(_CHUNK + 1, 3 * _CHUNK + BLOCK + 1),
+    seed=st.integers(0, 2**32),
+)
+def test_same_bits_on_one_two_and_three_workers(case, samples, seed):
+    if case == "banana-xi":
+        g, spec, kwargs = banana(1), MASSIVE_SPEC, {}
+    else:
+        g, spec, kwargs = load_graph("fixtures/k4.json"), None, {"boundary_bias": 0.5}
+    runs = {
+        (est.value, est.std_error)
+        for est in (
+            integrate(g, spec, samples=samples, seed=seed, workers=w, **kwargs) for w in (1, 2, 3)
+        )
+    }
+    assert len(runs) == 1
+
+
 def test_boundary_bias_weight_is_unbiased():
     # integrand is exactly 1, so the estimate is the mean importance weight
     est = integrate(banana(), samples=50_000, seed=3, boundary_bias=0.7)
@@ -93,6 +146,8 @@ def test_rejects_bad_inputs():
         integrate(banana(), workers=0)
     with pytest.raises(ValueError, match="chart"):
         integrate(banana(), chart="torus")
+    with pytest.raises(ValueError, match="seed"):
+        integrate(banana(), seed=-1)
 
     tadpole = FeynmanGraph(vertices=("u",), edges=(Edge(1, ("u", "u")),))
     spec = IntegrandSpec(numerator=SparsePolynomial.variable(1))
@@ -115,6 +170,31 @@ def test_rejects_bad_inputs():
         integrate(fourgraph, singular)  # no legs, no masses: xi == 0
 
 
+@pytest.mark.parametrize(
+    "name, bad",
+    [
+        ("samples", 2.5),
+        ("samples", 1e6),
+        ("samples", True),
+        ("seed", 1.0),
+        ("seed", "3"),
+        ("seed", False),
+        ("workers", 1.5),
+        ("workers", True),
+        ("workers", None),
+    ],
+)
+def test_count_arguments_must_be_integers(name, bad):
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        integrate(banana(), **{name: bad})
+
+
+def test_numpy_integers_are_accepted():
+    est = integrate(banana(), samples=np.int64(1000), seed=np.uint32(5), workers=np.int8(1))
+    assert (est.value, est.samples, est.seed, est.workers) == (1.0, 1000, 5, 1)
+    assert type(est.samples) is int
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_nonfinite_integrand_raises():
     # Dirichlet(0.01) draws underflow to 0, so psi vanishes at some samples;
@@ -129,6 +209,9 @@ def test_period_estimate_validation():
         PeriodEstimate(value=1.0, std_error=0.0, samples=0, seed=0)
     with pytest.raises(ValueError, match="std_error"):
         PeriodEstimate(value=1.0, std_error=-1.0, samples=10, seed=0)
+    for value, std_error in ((math.nan, 0.0), (1.0, math.nan), (math.inf, 1.0), (1.0, math.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            PeriodEstimate(value=value, std_error=std_error, samples=10, seed=0)
 
 
 def test_g_minus_2_closed_form():
