@@ -18,19 +18,34 @@ independent stream seeded by (seed, c) regardless of which worker runs it.
 Partial sums are reduced in chunk order, so a run is reproducible bit for
 bit for a fixed (samples, seed) pair with any worker count.
 
-Within a chunk the points, the normalization and the weights are computed
-for the whole chunk at once; the integrand is then evaluated in blocks of
-``_BLOCK`` rows, each transposed into contiguous per-variable columns, so
-the many passes of the polynomial evaluator stay in cache.  Every step
-inside a block is elementwise and the chunk's two sums still run over the
-whole chunk, so blocking cannot change a single bit of the result.
+A chunk draws its random numbers for all of its rows at once, which keeps
+the stream; everything else runs in blocks of ``_BLOCK`` rows.  A block
+normalizes its rows onto the chart, builds their weights, transposes its
+points into contiguous per-variable columns and evaluates the integrand, so
+the many array passes stay in cache.  Each step in a block works row by row
+(a row's sum or product does not depend on how many rows the array has),
+and the chunk's two sums still run over the whole chunk, so blocking cannot
+change a single bit of the result.  The polynomial evaluator shares the
+partial products of consecutive terms
+(:meth:`~feynperiods.polynomials.SparsePolynomial.evaluate`), which also
+leaves every bit as it was.
+
+Parallel calls run on one process pool per process.  It is created by the
+first call with ``workers > 1`` and reused while later calls ask for the
+same worker count; a call with another count shuts it down and starts a
+new one, so there is one pool at a time.  Its workers stay alive between
+calls and exit with the process.  If a worker dies, the call raises
+``BrokenProcessPool`` and the next call starts a fresh pool.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import operator
+import threading
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 
@@ -81,27 +96,29 @@ def _run_chunk(payload, chunk):
     rng = np.random.default_rng([payload["seed"], chunk])
     n_vars = payload["n_vars"]
     bias = payload["boundary_bias"]
-    if payload["chart"] == "simplex":
-        if bias is None:
-            draws = rng.standard_exponential(size=(m, n_vars))
-        else:
-            draws = rng.standard_gamma(bias, size=(m, n_vars))
-        x = draws / draws.sum(axis=1, keepdims=True)
-        weight = np.full(m, payload["chart_weight"])
-        if bias is not None and bias != 1.0:
-            weight *= np.prod(x ** (1.0 - bias), axis=1)
-    else:  # affine chart: last variable pinned to 1
-        t = rng.random(size=(m, n_vars - 1))
-        x = np.empty((m, n_vars))
-        x[:, :-1] = t / (1.0 - t)
-        x[:, -1] = 1.0
-        weight = np.prod(1.0 / (1.0 - t) ** 2, axis=1)
+    simplex = payload["chart"] == "simplex"
+    if not simplex:  # affine chart: last variable pinned to 1
+        draws = rng.random(size=(m, n_vars - 1))
+    elif bias is None:
+        draws = rng.standard_exponential(size=(m, n_vars))
+    else:
+        draws = rng.standard_gamma(bias, size=(m, n_vars))
     num = payload["numerator"]
     vals = np.empty(m)
     for lo in range(0, m, _BLOCK):
         rows = slice(lo, lo + _BLOCK)
-        cols = dict(zip(payload["edge_ids"], np.ascontiguousarray(x[rows].T)))
-        v = weight[rows]
+        d = draws[rows]
+        if simplex:
+            x = d / d.sum(axis=1, keepdims=True)
+            v = np.full(len(d), payload["chart_weight"])
+            if bias is not None and bias != 1.0:
+                v *= np.prod(x ** (1.0 - bias), axis=1)
+        else:
+            x = np.empty((len(d), n_vars))
+            x[:, :-1] = d / (1.0 - d)
+            x[:, -1] = 1.0
+            v = np.prod(1.0 / (1.0 - d) ** 2, axis=1)
+        cols = dict(zip(payload["edge_ids"], np.ascontiguousarray(x.T)))
         if num is not None:
             v = v * num.evaluate(cols)
         if payload["psi_power"]:
@@ -114,6 +131,39 @@ def _run_chunk(payload, chunk):
 
 def _run_chunks(payload, chunks):
     return [_run_chunk(payload, c) for c in chunks]
+
+
+_pool = None  # (workers, ProcessPoolExecutor): the one pool of this process
+_pool_lock = threading.Lock()
+
+
+def _run_on_pool(workers, payload, n_chunks):
+    """Chunk results from the process's pool of ``workers`` processes.
+
+    Worker w runs chunks w, w + workers, ...  The pool is created on the
+    first parallel call and kept for later calls with the same worker
+    count; a call with another count shuts it down and starts a new one.
+    A broken pool (a worker died) is dropped and the error re-raised, so
+    the next call starts afresh.
+    """
+    global _pool
+    with _pool_lock:
+        if _pool is not None and _pool[0] != workers:
+            _pool[1].shutdown()
+            _pool = None
+        if _pool is None:
+            _pool = (workers, ProcessPoolExecutor(max_workers=workers))
+        pool = _pool[1]
+        try:
+            futures = [
+                pool.submit(_run_chunks, payload, list(range(w, n_chunks, workers)))
+                for w in range(min(workers, n_chunks))
+            ]
+            return [part for f in futures for part in f.result()]
+        except BrokenProcessPool:
+            _pool = None
+            pool.shutdown(wait=False)
+            raise
 
 
 def integrate(
@@ -131,7 +181,8 @@ def integrate(
     (:func:`feynperiods.divergence.projective_degree` equal to 0), the graph
     connected, and, when a xi power is present, xi must be a nonzero
     polynomial with nonnegative coefficients (Euclidean region).  ``samples``,
-    ``seed`` and ``workers`` must be integers (a bool is not).  Returns a
+    ``seed`` and ``workers`` must be integers and ``boundary_bias`` a real
+    number (a bool is neither).  Returns a
     :class:`PeriodEstimate`; the estimate is exact in expectation, and the
     reported standard error is the usual sample estimate.
     """
@@ -150,6 +201,8 @@ def integrate(
     if boundary_bias is not None:
         if chart != "simplex":
             raise ValueError("boundary_bias applies to the simplex chart only")
+        if isinstance(boundary_bias, bool) or not isinstance(boundary_bias, numbers.Real):
+            raise ValueError(f"boundary_bias must be a real number, got {boundary_bias!r}")
         if not 0 < boundary_bias <= 1:
             raise ValueError("boundary_bias must lie in (0, 1]")
     deg = projective_degree(g, spec)
@@ -187,12 +240,7 @@ def integrate(
     if workers == 1 or n_chunks == 1:
         results = _run_chunks(payload, range(n_chunks))
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_run_chunks, payload, list(range(w, n_chunks, workers)))
-                for w in range(min(workers, n_chunks))
-            ]
-            results = [part for f in futures for part in f.result()]
+        results = _run_on_pool(workers, payload, n_chunks)
     s1 = 0.0
     s2 = 0.0
     for _, a, b2 in sorted(results):  # chunk order keeps the reduction deterministic

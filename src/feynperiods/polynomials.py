@@ -47,7 +47,10 @@ class SparsePolynomial:
                     if v < 1 or e < 0:
                         raise ValueError(f"bad monomial entry ({v}, {e})")
                 if any(a == b for (a, _), (b, _) in zip(key, key[1:])):
-                    key = _merge_keys(key[:1], key[1:])  # add up a repeated variable
+                    summed = {}  # add up a repeated variable
+                    for v, e in key:
+                        summed[v] = summed.get(v, 0) + e
+                    key = tuple(summed.items())
                 coeff = _normalize_coeff(clean.get(key, 0) + coeff)
                 if coeff:
                     clean[key] = coeff
@@ -235,17 +238,37 @@ class SparsePolynomial:
         across runs, and a point gets the same bits whether it comes alone
         or inside an array.  A variable of the polynomial missing from
         ``values`` is an error.
+
+        Each term is the product ((c*y1)*y2)*... taken left to right.
+        Consecutive terms in canonical order often share their coefficient
+        and leading factors, so the partial product after each factor is
+        kept on a stack and only the factors past the shared prefix are
+        multiplied in; a coefficient of 1 starts from the first factor
+        itself (1.0*y == y).  Every term gets the same bits as a product
+        built from scratch.
         """
         cols = {v: np.asarray(x, dtype=float) for v, x in values.items()}
         shape = np.broadcast_shapes(*(c.shape for c in cols.values()))
         total = np.zeros(shape)
+        prev = ()  # (coefficient, *factors) of the previous term
+        stack = []  # stack[d]: coefficient times the first d factors of prev
         for key in sorted(self.terms, key=_term_sort_key):
-            t = np.full(shape, float(self.terms[key]))
-            for v, e in key:
+            word = (float(self.terms[key]),) + key
+            shared = 0
+            for a, b in zip(word, prev):
+                if a != b:
+                    break
+                shared += 1
+            del stack[shared:]
+            if not stack:
+                stack.append(word[0])
+            for v, e in word[len(stack):]:
                 if v not in cols:
                     raise ValueError(f"no value given for variable a{v}")
-                t *= cols[v] if e == 1 else cols[v] ** e
-            total += t
+                y = cols[v] if e == 1 else cols[v] ** e
+                stack.append(y if len(stack) == 1 and word[0] == 1.0 else stack[-1] * y)
+            total += stack[-1]
+            prev = word
         return total if shape else float(total)
 
     # -- rendering ---------------------------------------------------------
@@ -279,14 +302,27 @@ class SparsePolynomial:
 
 
 def _merge_keys(k1: MonomialKey, k2: MonomialKey) -> MonomialKey:
+    """Product of two canonical monomial keys: merge the sorted pairs, adding shared exponents."""
     if not k1:
         return k2
     if not k2:
         return k1
-    merged = dict(k1)
-    for v, e in k2:
-        merged[v] = merged.get(v, 0) + e
-    return tuple(sorted(merged.items()))
+    out = []
+    i = j = 0
+    n1, n2 = len(k1), len(k2)
+    while i < n1 and j < n2:
+        v1, v2 = k1[i][0], k2[j][0]
+        if v1 < v2:
+            out.append(k1[i])
+            i += 1
+        elif v2 < v1:
+            out.append(k2[j])
+            j += 1
+        else:
+            out.append((v1, k1[i][1] + k2[j][1]))
+            i += 1
+            j += 1
+    return tuple(out) + k1[i:] + k2[j:]
 
 
 def _render_coeff(c: Coeff) -> str:

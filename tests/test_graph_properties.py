@@ -2,15 +2,17 @@
 
 import math
 import pickle
+from fractions import Fraction
 from itertools import combinations, permutations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from feynperiods.divergence import subgraph_loop_number
 from feynperiods.graphs import Edge, FeynmanGraph
-from feynperiods.polynomials import SparsePolynomial, parse_polynomial
+from feynperiods.polynomials import SparsePolynomial, _term_sort_key, parse_polynomial
 from feynperiods.symanzik import (
     Factorization,
     _cofactor_determinant,
@@ -186,3 +188,57 @@ def test_array_evaluate_matches_pointwise_bit_for_bit(p, rows):
         alone = p.evaluate({v: row[v - 1] for v in range(1, 6)})
         assert float(together[i]).hex() == alone.hex()
 
+
+@st.composite
+def shared_prefix_polynomials(draw):
+    """Up to 20 terms over a1..a6 with mostly unit coefficients.
+
+    In canonical order such terms share long leading factors, and the
+    coefficients that are not 1 break the sharing at the first entry.
+    """
+    coeff = st.sampled_from([1, 1, 1, -1, 2, Fraction(1, 3), Fraction(-7, 2)])
+    key = st.lists(st.tuples(st.integers(1, 6), st.integers(1, 3)), max_size=5)
+    return SparsePolynomial(draw(st.lists(st.tuples(key, coeff), max_size=20)))
+
+
+def naive_evaluate(p, values):
+    """Each term from scratch: np.full(c), times each factor left to right, summed in order."""
+    cols = {v: np.asarray(x, dtype=float) for v, x in values.items()}
+    shape = np.broadcast_shapes(*(c.shape for c in cols.values()))
+    total = np.zeros(shape)
+    for key in sorted(p.terms, key=_term_sort_key):
+        t = np.full(shape, float(p.terms[key]))
+        for v, e in key:
+            if v not in cols:
+                raise ValueError(f"no value given for variable a{v}")
+            t *= cols[v] if e == 1 else cols[v] ** e
+        total += t
+    return total if shape else float(total)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    data=st.data(),
+    p=polynomials() | shared_prefix_polynomials(),
+    n=st.integers(0, 5),
+)
+def test_evaluate_matches_term_by_term_oracle_bit_for_bit(data, p, n):
+    # n == 0 evaluates at one point given as plain floats
+    value = st.floats(-1e6, 1e6, allow_nan=False)
+    if n:
+        column = st.lists(value, min_size=n, max_size=n).map(np.array)
+    else:
+        column = value
+    values = {v: data.draw(column) for v in range(1, 7)}
+    got, want = p.evaluate(values), naive_evaluate(p, values)
+    assert type(got) is type(want) and np.shape(got) == np.shape(want)
+    bits = np.asarray(got).view(np.int64), np.asarray(want).view(np.int64)
+    assert np.array_equal(*bits)
+
+    if p.variables():
+        del values[data.draw(st.sampled_from(p.variables()))]
+        with pytest.raises(ValueError) as want_error:
+            naive_evaluate(p, values)
+        with pytest.raises(ValueError) as got_error:
+            p.evaluate(values)
+        assert str(got_error.value) == str(want_error.value)

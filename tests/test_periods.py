@@ -1,12 +1,15 @@
 """Monte Carlo period integration: exactness, reproducibility, consistency."""
 
 import math
+import time
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from feynperiods import periods
 from feynperiods.divergence import IntegrandSpec
 from feynperiods.graphs import Edge, ExternalLeg, FeynmanGraph, load_graph
 from feynperiods.periods import _CHUNK, PeriodEstimate, g_minus_2_two_loop, integrate
@@ -118,6 +121,35 @@ def test_same_bits_on_one_two_and_three_workers(case, samples, seed):
     assert len(runs) == 1
 
 
+def test_pool_is_reused_replaced_and_restarted():
+    # the pinned "simplex-xi" bits, from each pool state
+    def run(workers):
+        est = integrate(banana(1), MASSIVE_SPEC, samples=GOLDEN_SAMPLES, seed=20261018,
+                        workers=workers)
+        return repr(est.value), repr(est.std_error)
+
+    pinned = ("0.8609072548564936", "0.00010327697316276544")
+    assert run(2) == pinned
+    pool = periods._pool[1]
+    assert run(2) == pinned and periods._pool[1] is pool
+    assert run(3) == pinned and periods._pool[0] == 3
+    assert run(2) == pinned and periods._pool[0] == 2
+    pool = periods._pool[1]
+    procs = list(pool._processes.values())
+    for proc in procs:
+        proc.terminate()
+    # the pool's own thread may reap the workers first, so poll instead of join
+    deadline = time.monotonic() + 10
+    while any(proc.exitcode is None for proc in procs) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert all(proc.exitcode is not None for proc in procs)
+    try:
+        assert run(2) == pinned
+    except BrokenProcessPool:
+        pass
+    assert run(2) == pinned and periods._pool[1] is not pool
+
+
 def test_boundary_bias_weight_is_unbiased():
     # integrand is exactly 1, so the estimate is the mean importance weight
     est = integrate(banana(), samples=50_000, seed=3, boundary_bias=0.7)
@@ -148,6 +180,9 @@ def test_rejects_bad_inputs():
         integrate(banana(), chart="torus")
     with pytest.raises(ValueError, match="seed"):
         integrate(banana(), seed=-1)
+    for bad in (True, "0.5"):
+        with pytest.raises(ValueError, match="boundary_bias must be a real number"):
+            integrate(banana(), boundary_bias=bad)
 
     tadpole = FeynmanGraph(vertices=("u",), edges=(Edge(1, ("u", "u")),))
     spec = IntegrandSpec(numerator=SparsePolynomial.variable(1))
