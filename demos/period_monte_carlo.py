@@ -1,7 +1,7 @@
 """Monte Carlo period integrals on the parameter simplex.
 
 Run from the repository root: python3 demos/period_monte_carlo.py
-(about 15 seconds; lower the sample counts to go faster)
+(about 3 seconds on two cores; lower the sample counts to go faster)
 """
 
 import time

@@ -29,6 +29,7 @@ from fractions import Fraction
 
 from .divergence import IntegrandSpec, is_phi4, is_primitive, projective_degree, weight_bound
 from .galois import (
+    RATIO_MAGNITUDE,
     GaloisElement,
     check_ratio_constraint,
     galois_conjugate_span,
@@ -290,10 +291,14 @@ def _format_matrix(rep):
 def _galois_element(args):
     sigma = {}
     for text in args.sigma or []:
-        if "=" not in text:
-            raise ValueError(f"--sigma expects N=VALUE, got {text!r}")
-        left, right = text.split("=", 1)
-        sigma[int(left)] = _parse_fraction(right)
+        left, eq, right = text.partition("=")
+        try:
+            if not eq:
+                raise ValueError
+            index = int(left)
+        except ValueError:
+            raise ValueError(f"--sigma N=VALUE needs an integer N, got {text!r}") from None
+        sigma[index] = _parse_fraction(right)
     if args.sigma3 is not None:
         sigma[3] = _parse_fraction(args.sigma3)
     if args.sigma5 is not None:
@@ -306,21 +311,19 @@ def _galois_element(args):
     )
 
 
+# galois rep NAME: the representation's matrix for a group element and --n
+_GALOIS_REPS = {
+    "2pii": lambda g, n: rep_2pi_i(g),
+    "log2": lambda g, n: rep_log2(g),
+    "zeta-even": rep_zeta_even,
+    "zeta-odd": rep_zeta_odd,
+    "zeta35": lambda g, n: rep_zeta35(g),
+}
+
+
 def _cmd_galois_rep(args):
-    g = _galois_element(args)
     name = args.name
-    if name == "2pii":
-        rep = rep_2pi_i(g)
-    elif name == "log2":
-        rep = rep_log2(g)
-    elif name == "zeta-even":
-        rep = rep_zeta_even(g, args.n)
-    elif name == "zeta-odd":
-        rep = rep_zeta_odd(g, args.n)
-    elif name == "zeta35":
-        rep = rep_zeta35(g)
-    else:
-        raise ValueError(f"unknown representation {name!r}")
+    rep = _GALOIS_REPS[name](_galois_element(args), args.n)
     results = {
         "basis": list(rep.basis),
         "matrix": [[str(entry) for entry in row] for row in rep.entries],
@@ -357,13 +360,13 @@ def _cmd_galois_check_ratio(args):
         "c2": str(c2),
         "ratio": str(check.ratio),
         "sign": check.sign,
-        "required_magnitude": "12/29",
+        "required_magnitude": str(RATIO_MAGNITUDE),
         "passed": check.passed,
     }
     verdict = "PASS" if check.passed else "FAIL"
     lines = [
         f"c1 = {c1}, c2 = {c2}",
-        f"ratio c1/c2 = {check.ratio}   magnitude required: 12/29",
+        f"ratio c1/c2 = {check.ratio}   magnitude required: {RATIO_MAGNITUDE}",
         f"{verdict}   (sign {check.sign:+d})",
     ]
     _emit(args, "galois check-ratio", {"c1": str(c1), "c2": str(c2)}, results, {}, lines)
@@ -433,8 +436,7 @@ def build_parser():
     gsub = p.add_subparsers(dest="galois_command", required=True)
 
     g = gsub.add_parser("rep", help="print the matrix of a group element in a representation")
-    g.add_argument("name", choices=("2pii", "log2", "zeta-even", "zeta-odd", "zeta35"),
-                   help="which representation")
+    g.add_argument("name", choices=tuple(_GALOIS_REPS), help="which representation")
     g.add_argument("--n", type=int, default=3, help="index for zeta-even / zeta-odd (default 3)")
     g.add_argument("--lam", default="1", help="scaling coordinate lambda (default 1)")
     g.add_argument("--nu", default="0", help="translation coordinate nu (default 0)")
@@ -451,7 +453,8 @@ def build_parser():
     _add_json_flag(g)
     g.set_defaults(func=_cmd_galois_span)
 
-    g = gsub.add_parser("check-ratio", help="check two coefficients against the 12/29 ratio")
+    g = gsub.add_parser("check-ratio",
+                        help=f"check two coefficients against the {RATIO_MAGNITUDE} ratio")
     g.add_argument("coeffs", nargs=2, metavar="C",
                    help="two rational coefficients, e.g. 3024/5 -7308/5")
     g._negative_number_matcher = _DASH_VALUE

@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-_RATIO_MAGNITUDE = Fraction(216, 522)  # == 12/29
+RATIO_MAGNITUDE = Fraction(216, 522)  # == 12/29
 
 
 def _frac(x, what):
@@ -229,7 +229,7 @@ def check_ratio_constraint(c_zeta3_zeta35, c_zeta3_zeta8):
         raise ValueError("the zeta(3)*zeta(8) coefficient must be nonzero")
     ratio = c1 / c2
     return RatioCheck(
-        passed=abs(ratio) == _RATIO_MAGNITUDE,
+        passed=abs(ratio) == RATIO_MAGNITUDE,
         ratio=ratio,
         sign=(ratio > 0) - (ratio < 0),
     )

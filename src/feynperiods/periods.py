@@ -4,19 +4,21 @@ The integral of a degree-zero integrand ``P(a) / (psi^A xi^B)`` against the
 canonical projective volume form can be computed in an affine chart.  Two
 charts are implemented:
 
-* ``simplex``: restrict to ``sum a_e = 1``.  Uniform points on the simplex
-  come from normalizing independent standard-exponential draws; the chart
-  volume is 1/(N-1)! which enters as a constant weight.  An optional
-  ``boundary_bias`` b in (0, 1] replaces the uniform law by a symmetric
-  Dirichlet(b) importance law that piles samples near the boundary, with
-  the exact density ratio as the weight.
+* ``simplex``: restrict to ``sum a_e = 1`` and sample the symmetric
+  Dirichlet(b) law, by normalizing independent Gamma(b) draws, with the
+  exact density ratio as the weight.  The default b = 1 is the uniform law
+  (a Gamma(1) draw is a standard-exponential one), whose weight is the
+  constant chart volume 1/(N-1)!.  A ``boundary_bias`` b in (0, 1) piles
+  samples near the boundary.
 * ``affine``: set the last variable to 1 and integrate the rest over
   (0, inf)^(N-1), mapped to the unit cube by a_i = t/(1-t).
 
 Sampling is partitioned into fixed-size chunks, and chunk c draws from an
 independent stream seeded by (seed, c) regardless of which worker runs it.
-Partial sums are reduced in chunk order, so a run is reproducible bit for
-bit for a fixed (samples, seed) pair with any worker count.
+One runner maps the chunks to their partial sums, serially or on the pool
+with one contiguous run of chunks per worker, and the sums come back and
+are reduced in chunk order, so a run is reproducible bit for bit for a
+fixed (samples, seed) pair with any worker count.
 
 A chunk draws its random numbers for all of its rows at once, which keeps
 the stream; everything else runs in blocks of ``_BLOCK`` rows.  A block
@@ -40,6 +42,7 @@ calls and exit with the process.  If a worker dies, the call raises
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import operator
@@ -91,18 +94,16 @@ def _as_int(name, value):
 
 
 def _run_chunk(payload, chunk):
-    """(chunk, sum, sum of squares) for one fixed-size sampling chunk."""
+    """(sum, sum of squares) for one fixed-size sampling chunk."""
     m = min(_CHUNK, payload["samples"] - chunk * _CHUNK)
     rng = np.random.default_rng([payload["seed"], chunk])
     n_vars = payload["n_vars"]
-    bias = payload["boundary_bias"]
+    b = payload["dirichlet"]
     simplex = payload["chart"] == "simplex"
-    if not simplex:  # affine chart: last variable pinned to 1
+    if simplex:
+        draws = rng.standard_gamma(b, size=(m, n_vars))
+    else:  # affine chart: last variable pinned to 1
         draws = rng.random(size=(m, n_vars - 1))
-    elif bias is None:
-        draws = rng.standard_exponential(size=(m, n_vars))
-    else:
-        draws = rng.standard_gamma(bias, size=(m, n_vars))
     num = payload["numerator"]
     vals = np.empty(m)
     for lo in range(0, m, _BLOCK):
@@ -111,8 +112,8 @@ def _run_chunk(payload, chunk):
         if simplex:
             x = d / d.sum(axis=1, keepdims=True)
             v = np.full(len(d), payload["chart_weight"])
-            if bias is not None and bias != 1.0:
-                v *= np.prod(x ** (1.0 - bias), axis=1)
+            if b != 1.0:
+                v *= np.prod(x ** (1.0 - b), axis=1)
         else:
             x = np.empty((len(d), n_vars))
             x[:, :-1] = d / (1.0 - d)
@@ -126,25 +127,21 @@ def _run_chunk(payload, chunk):
         if payload["xi_power"]:
             v = v / payload["xi"].evaluate(cols) ** payload["xi_power"]
         vals[rows] = v
-    return chunk, float(vals.sum()), float((vals * vals).sum())
-
-
-def _run_chunks(payload, chunks):
-    return [_run_chunk(payload, c) for c in chunks]
+    return float(vals.sum()), float((vals * vals).sum())
 
 
 _pool = None  # (workers, ProcessPoolExecutor): the one pool of this process
 _pool_lock = threading.Lock()
 
 
-def _run_on_pool(workers, payload, n_chunks):
-    """Chunk results from the process's pool of ``workers`` processes.
+def _run_on_pool(workers, run_chunk, n_chunks):
+    """Chunk results, in chunk order, from the process's pool of ``workers`` processes.
 
-    Worker w runs chunks w, w + workers, ...  The pool is created on the
-    first parallel call and kept for later calls with the same worker
-    count; a call with another count shuts it down and starts a new one.
-    A broken pool (a worker died) is dropped and the error re-raised, so
-    the next call starts afresh.
+    The chunks are cut into ``workers`` contiguous runs, one task each.  The
+    pool is created on the first parallel call and kept for later calls with
+    the same worker count; a call with another count shuts it down and
+    starts a new one.  A broken pool (a worker died) is dropped and the
+    error re-raised, so the next call starts afresh.
     """
     global _pool
     with _pool_lock:
@@ -155,11 +152,7 @@ def _run_on_pool(workers, payload, n_chunks):
             _pool = (workers, ProcessPoolExecutor(max_workers=workers))
         pool = _pool[1]
         try:
-            futures = [
-                pool.submit(_run_chunks, payload, list(range(w, n_chunks, workers)))
-                for w in range(min(workers, n_chunks))
-            ]
-            return [part for f in futures for part in f.result()]
+            return list(pool.map(run_chunk, range(n_chunks), chunksize=-(-n_chunks // workers)))
         except BrokenProcessPool:
             _pool = None
             pool.shutdown(wait=False)
@@ -211,12 +204,14 @@ def integrate(
     n_vars = g.n_edges
     if n_vars < 2:
         raise ValueError("need at least two edges to integrate")
+    b = 1.0 if boundary_bias is None else boundary_bias  # Dirichlet(1) is uniform
     payload = {
         "seed": seed,
         "samples": samples,
         "n_vars": n_vars,
         "chart": chart,
-        "boundary_bias": boundary_bias,
+        "dirichlet": b,
+        "chart_weight": math.gamma(b) ** n_vars / math.gamma(n_vars * b),
         "psi_power": spec.psi_power,
         "xi_power": spec.xi_power,
         "edge_ids": sorted(g.edge_ids()),
@@ -233,19 +228,18 @@ def integrate(
         payload["xi"] = xi_poly
     if spec.numerator != 1:
         payload["numerator"] = spec.numerator
-    b = 1.0 if boundary_bias is None else boundary_bias
-    payload["chart_weight"] = math.gamma(b) ** n_vars / math.gamma(n_vars * b)
 
     n_chunks = -(-samples // _CHUNK)
+    run_chunk = functools.partial(_run_chunk, payload)
     if workers == 1 or n_chunks == 1:
-        results = _run_chunks(payload, range(n_chunks))
+        results = map(run_chunk, range(n_chunks))
     else:
-        results = _run_on_pool(workers, payload, n_chunks)
+        results = _run_on_pool(workers, run_chunk, n_chunks)
     s1 = 0.0
     s2 = 0.0
-    for _, a, b2 in sorted(results):  # chunk order keeps the reduction deterministic
-        s1 += a
-        s2 += b2
+    for chunk_sum, chunk_sq in results:  # chunk order keeps the reduction deterministic
+        s1 += chunk_sum
+        s2 += chunk_sq
     mean = s1 / samples
     var = s2 / samples - mean * mean
     if not (math.isfinite(mean) and math.isfinite(var)):

@@ -97,10 +97,7 @@ class SparsePolynomial:
     @classmethod
     def monomial(cls, variables, coeff=1):
         """Monomial from an iterable of variable ids (repeats raise powers)."""
-        key = {}
-        for v in variables:
-            key[v] = key.get(v, 0) + 1
-        return cls({tuple(sorted(key.items())): coeff})
+        return cls({tuple((v, 1) for v in variables): coeff})
 
     # -- ring structure ----------------------------------------------------
 
@@ -370,14 +367,12 @@ def parse_polynomial(text):
         else:
             coeff = Fraction(1)
             mono_text = m.group("mono")
-        key = {}
+        key = []  # a repeated variable is summed by the constructor
         if mono_text:
             for factor in mono_text.split("*"):
                 fm = _FACTOR_RE.match(factor.strip())
                 if not fm:
                     raise ValueError(f"cannot parse factor {factor!r} in {text!r}")
-                v = int(fm.group("var"))
-                e = int(fm.group("exp") or 1)
-                key[v] = key.get(v, 0) + e
-        terms.append((tuple(sorted(key.items())), sign * coeff))
+                key.append((int(fm.group("var")), int(fm.group("exp") or 1)))
+        terms.append((key, sign * coeff))
     return SparsePolynomial(terms)

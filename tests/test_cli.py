@@ -136,6 +136,8 @@ def test_exit_codes(capsys, tmp_path):
     assert invoke(capsys, "galois", "check-ratio", "1/2")[0] == 2
     assert invoke(capsys, "frobnicate")[0] == 2
     assert invoke(capsys, "galois", "rep", "zeta-even", "--n", "3")[0] == 1
+    code, _, err = invoke(capsys, "galois", "rep", "2pii", "--sigma", "x=1")
+    assert code == 1 and "--sigma N=VALUE" in err and "'x=1'" in err
     code, _, err = invoke(capsys, "divergence", "fixtures/k4.json", "--numerator", "1/0")
     assert code == 1 and err.startswith("error:") and "'1/0'" in err
     bad = tmp_path / "edges.json"

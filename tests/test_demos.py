@@ -4,8 +4,10 @@ import runpy
 
 import pytest
 
-# period_monte_carlo is left out: it draws millions of samples (about 15 s)
-DEMOS = ("symanzik_walkthrough", "divergence_analysis", "zeta_values", "galois_matrices")
+DEMOS = (
+    "symanzik_walkthrough", "divergence_analysis", "zeta_values", "galois_matrices",
+    "period_monte_carlo",
+)
 
 
 @pytest.mark.parametrize("name", DEMOS)

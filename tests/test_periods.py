@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from feynperiods import periods
 from feynperiods.divergence import IntegrandSpec
 from feynperiods.graphs import Edge, ExternalLeg, FeynmanGraph, load_graph
-from feynperiods.periods import _CHUNK, PeriodEstimate, g_minus_2_two_loop, integrate
+from feynperiods.periods import _BLOCK, _CHUNK, PeriodEstimate, g_minus_2_two_loop, integrate
 from feynperiods.polynomials import SparsePolynomial, parse_polynomial
 
 
@@ -71,9 +71,8 @@ def test_reproducible_for_any_worker_count():
     assert runs[1].workers == 3
 
 
-BLOCK = 1 << 14  # rows per integrand block in periods._run_chunk
 # One full chunk plus a partial one that ends 7 rows into its fourth block.
-GOLDEN_SAMPLES = _CHUNK + 3 * BLOCK + 7
+GOLDEN_SAMPLES = _CHUNK + 3 * _BLOCK + 7
 GOLDEN_NUMERATOR = IntegrandSpec(
     numerator=parse_polynomial("2*a1*a2*a3 + a4^3 + 1/3*a5^2*a6"), psi_power=3
 )
@@ -84,6 +83,8 @@ GOLDEN_NUMERATOR = IntegrandSpec(
     [
         ("k4", None, {}, "7.210551942580054", "0.14631132399244098"),
         ("k4", None, {"boundary_bias": 0.5}, "7.189517702746506", "0.025219908662613"),
+        # Dirichlet(1) is the uniform law, draw for draw
+        ("k4", None, {"boundary_bias": 1.0}, "7.210551942580054", "0.14631132399244098"),
         (
             "banana", MASSIVE_SPEC, {"chart": "affine"},
             "0.8609077242855216", "0.00010333998149073306",
@@ -91,7 +92,10 @@ GOLDEN_NUMERATOR = IntegrandSpec(
         ("banana", MASSIVE_SPEC, {}, "0.8609072548564936", "0.00010327697316276544"),
         ("k4", GOLDEN_NUMERATOR, {"boundary_bias": 0.5}, "932.621065540807", "286.5601314960576"),
     ],
-    ids=["simplex-uniform", "simplex-dirichlet", "affine-xi", "simplex-xi", "numerator"],
+    ids=[
+        "simplex-uniform", "simplex-dirichlet", "simplex-dirichlet-1", "affine-xi", "simplex-xi",
+        "numerator",
+    ],
 )
 def test_seeded_bits_are_pinned(graph, spec, kwargs, value, std_error):
     # a change to the draws, the weights, the integrand's arithmetic or the
@@ -104,7 +108,7 @@ def test_seeded_bits_are_pinned(graph, spec, kwargs, value, std_error):
 @settings(max_examples=8, deadline=None)
 @given(
     case=st.sampled_from(["banana-xi", "k4-dirichlet"]),
-    samples=st.integers(_CHUNK + 1, 3 * _CHUNK + BLOCK + 1),
+    samples=st.integers(_CHUNK + 1, 3 * _CHUNK + _BLOCK + 1),
     seed=st.integers(0, 2**32),
 )
 def test_same_bits_on_one_two_and_three_workers(case, samples, seed):
