@@ -9,7 +9,8 @@ Subcommands:
 * ``galois ...``        matrix representations, conjugate spans, ratio check.
 
 Every subcommand accepts ``--json`` and then emits a single JSON document
-with keys ``command``, ``inputs``, ``results`` and ``diagnostics``.  The
+with keys ``command`` (the subcommand names, such as ``"galois rep"``),
+``inputs`` (every parsed argument), ``results`` and ``diagnostics``.  The
 JSON output is deterministic: the same argv produces byte-identical bytes.
 
 Exit codes: 0 on success (a FAIL verdict is still a successful run), 1 on
@@ -46,26 +47,11 @@ from .polynomials import parse_polynomial
 from .symanzik import SymanzikSet
 
 
-def _emit(args, command, inputs, results, diagnostics, lines):
-    if getattr(args, "json", False):
-        doc = {
-            "command": command,
-            "inputs": inputs,
-            "results": results,
-            "diagnostics": diagnostics,
-        }
-        print(json.dumps(doc, indent=2, sort_keys=True))
-    else:
-        for line in lines:
-            print(line)
-
-
 def _parse_indices(text):
     try:
-        idx = tuple(int(part) for part in text.split(","))
+        return tuple(int(part) for part in text.split(","))
     except ValueError:
         raise ValueError(f"cannot parse index list {text!r}; expected e.g. '3' or '3,5'")
-    return idx
 
 
 def _parse_fraction(text):
@@ -129,30 +115,34 @@ def _cmd_symanzik(args):
     graph = load_graph(args.graph)
     polys = SymanzikSet.of(graph)
     n_trees = len(polys.psi.terms)  # one monomial, coefficient 1, per spanning tree
+    psi, phi, xi = (p.render() for p in (polys.psi, polys.phi, polys.xi))
     results = {
         "edges": graph.n_edges,
         "loop_number": graph.loop_number(),
         "spanning_trees": n_trees,
-        "psi": polys.psi.render(),
-        "phi": polys.phi.render(),
-        "xi": polys.xi.render(),
+        "psi": psi,
+        "phi": phi,
+        "xi": xi,
     }
     lines = [
         f"graph: {args.graph}",
         f"edges: {graph.n_edges}   loops: {graph.loop_number()}   "
         f"spanning trees: {n_trees}",
-        f"psi = {polys.psi.render()}",
-        f"phi = {polys.phi.render()}",
-        f"xi  = {polys.xi.render()}",
+        f"psi = {psi}",
+        f"phi = {phi}",
+        f"xi  = {xi}",
     ]
-    _emit(args, "symanzik", {"graph": args.graph}, results, {}, lines)
-    return 0
+    return results, {}, lines
+
+
+def _integrand_spec(args):
+    return IntegrandSpec(numerator=parse_polynomial(args.numerator),
+                         psi_power=args.psi_power, xi_power=args.xi_power)
 
 
 def _cmd_divergence(args):
     graph = load_graph(args.graph)
-    numerator = parse_polynomial(args.numerator)
-    spec = IntegrandSpec(numerator=numerator, psi_power=args.psi_power, xi_power=args.xi_power)
+    spec = _integrand_spec(args)
     degree = projective_degree(graph, spec)
     primitive, witness = is_primitive(graph)
     phi4 = is_phi4(graph)
@@ -179,20 +169,12 @@ def _cmd_divergence(args):
         lines.append(f"primitive: no   (witness subgraph {{{', '.join(map(str, witness))}}})")
     lines.append(f"phi^4 eligible: {'yes' if phi4 else 'no'}")
     lines.append(f"weight bound (informational): {bound}")
-    inputs = {
-        "graph": args.graph,
-        "numerator": args.numerator,
-        "psi_power": args.psi_power,
-        "xi_power": args.xi_power,
-    }
-    _emit(args, "divergence", inputs, results, {}, lines)
-    return 0
+    return results, {}, lines
 
 
 def _cmd_period(args):
     graph = load_graph(args.graph)
-    numerator = parse_polynomial(args.numerator)
-    spec = IntegrandSpec(numerator=numerator, psi_power=args.psi_power, xi_power=args.xi_power)
+    spec = _integrand_spec(args)
     estimate = integrate(
         graph,
         spec,
@@ -202,10 +184,7 @@ def _cmd_period(args):
         chart=args.chart,
         boundary_bias=args.boundary_bias,
     )
-    results = {
-        "value": estimate.value,
-        "std_error": estimate.std_error,
-    }
+    results = {"value": estimate.value, "std_error": estimate.std_error}
     diagnostics = {
         "samples": estimate.samples,
         "seed": estimate.seed,
@@ -223,48 +202,33 @@ def _cmd_period(args):
         # an exactly-zero standard error still deserves a tolerance band
         band = 3.0 * estimate.std_error + 1e-12
         passed = diff <= band
-        results["expect"] = target
-        results["expect_passed"] = passed
-        results["expect_diff"] = diff
+        results.update(expect=target, expect_passed=passed, expect_diff=diff)
         verdict = "PASS" if passed else "FAIL"
         lines.append(
             f"expect {args.expect} = {target:.10g}: {verdict}   "
             f"(|diff| = {diff:.4g}, 3*sigma = {3.0 * estimate.std_error:.4g})"
         )
-    inputs = {
-        "graph": args.graph,
-        "numerator": args.numerator,
-        "psi_power": args.psi_power,
-        "xi_power": args.xi_power,
-        "samples": args.samples,
-        "seed": args.seed,
-        "workers": args.workers,
-        "chart": args.chart,
-        "boundary_bias": args.boundary_bias,
-        "expect": args.expect,
-    }
-    _emit(args, "period", inputs, results, diagnostics, lines)
-    return 0
+    return results, diagnostics, lines
 
 
 def _cmd_zeta(args):
     idx = _parse_indices(args.indices)
     if args.word:
         word = iterated_integral_word(idx)
+        letters = "".join(str(b) for b in word.letters)
         results = {
             "indices": list(idx),
             "sign": word.sign,
-            "letters": "".join(str(b) for b in word.letters),
+            "letters": letters,
             "weight": word.weight,
             "depth": len(idx),
         }
         lines = [
             f"word for zeta({args.indices}): sign {word.sign:+d}, "
-            f"letters {''.join(str(b) for b in word.letters)}   "
+            f"letters {letters}   "
             f"(weight {word.weight}, depth {len(idx)})"
         ]
-        _emit(args, "zeta", {"indices": args.indices, "word": True}, results, {}, lines)
-        return 0
+        return results, {}, lines
     value, bound = mzv_with_error(idx, args.digits)
     results = {
         "indices": list(idx),
@@ -274,8 +238,7 @@ def _cmd_zeta(args):
     }
     name = "zeta(" + ",".join(str(n) for n in idx) + ")"
     lines = [f"{name} = {value}   (error bound {bound:.3E}, {args.digits} digits)"]
-    _emit(args, "zeta", {"indices": args.indices, "digits": args.digits}, results, {}, lines)
-    return 0
+    return results, {}, lines
 
 
 def _format_matrix(rep):
@@ -290,7 +253,7 @@ def _format_matrix(rep):
 
 def _galois_element(args):
     sigma = {}
-    for text in args.sigma or []:
+    for text in args.sigma:
         left, eq, right = text.partition("=")
         try:
             if not eq:
@@ -322,34 +285,20 @@ _GALOIS_REPS = {
 
 
 def _cmd_galois_rep(args):
-    name = args.name
-    rep = _GALOIS_REPS[name](_galois_element(args), args.n)
+    rep = _GALOIS_REPS[args.name](_galois_element(args), args.n)
     results = {
         "basis": list(rep.basis),
         "matrix": [[str(entry) for entry in row] for row in rep.entries],
     }
-    lines = [f"basis: ({', '.join(rep.basis)})"]
-    lines.extend(_format_matrix(rep))
-    inputs = {
-        "name": name,
-        "n": args.n,
-        "lam": args.lam,
-        "nu": args.nu,
-        "sigma": args.sigma or [],
-        "sigma3": args.sigma3,
-        "sigma5": args.sigma5,
-        "sigma35": args.sigma35,
-    }
-    _emit(args, "galois rep", inputs, results, {}, lines)
-    return 0
+    lines = [f"basis: ({', '.join(rep.basis)})", *_format_matrix(rep)]
+    return results, {}, lines
 
 
 def _cmd_galois_span(args):
     span = galois_conjugate_span(args.period)
     results = {"period": args.period, "span": list(span), "dimension": len(span)}
     lines = [f"conjugates of {args.period} span: ({', '.join(span)})   dimension {len(span)}"]
-    _emit(args, "galois span", {"period": args.period}, results, {}, lines)
-    return 0
+    return results, {}, lines
 
 
 def _cmd_galois_check_ratio(args):
@@ -369,8 +318,7 @@ def _cmd_galois_check_ratio(args):
         f"ratio c1/c2 = {check.ratio}   magnitude required: {RATIO_MAGNITUDE}",
         f"{verdict}   (sign {check.sign:+d})",
     ]
-    _emit(args, "galois check-ratio", {"c1": str(c1), "c2": str(c2)}, results, {}, lines)
-    return 0
+    return results, {}, lines
 
 
 def _add_json_flag(parser):
@@ -440,7 +388,7 @@ def build_parser():
     g.add_argument("--n", type=int, default=3, help="index for zeta-even / zeta-odd (default 3)")
     g.add_argument("--lam", default="1", help="scaling coordinate lambda (default 1)")
     g.add_argument("--nu", default="0", help="translation coordinate nu (default 0)")
-    g.add_argument("--sigma", action="append", metavar="N=VALUE",
+    g.add_argument("--sigma", action="append", default=[], metavar="N=VALUE",
                    help="odd-index coordinate, repeatable (e.g. --sigma 7=2)")
     g.add_argument("--sigma3", default=None, help="shorthand for --sigma 3=VALUE")
     g.add_argument("--sigma5", default=None, help="shorthand for --sigma 5=VALUE")
@@ -465,6 +413,7 @@ def build_parser():
 
 
 def run(argv=None):
+    """Run one subcommand; its ``_cmd_*`` returns (results, diagnostics, text lines)."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -472,13 +421,24 @@ def run(argv=None):
         # argparse already printed its message; 0 for --help, 2 for usage errors
         return int(exc.code or 0)
     try:
-        return args.func(args)
-    except ValueError as exc:
+        results, diagnostics, lines = args.func(args)
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    if args.json:
+        inputs = dict(vars(args))
+        command = [inputs.pop("command"), inputs.pop("galois_command", None)]
+        del inputs["func"], inputs["json"]
+        doc = {
+            "command": " ".join(filter(None, command)),
+            "inputs": inputs,
+            "results": results,
+            "diagnostics": diagnostics,
+        }
+        print(json.dumps(doc, indent=2, sort_keys=True))
+    else:
+        print("\n".join(lines))
+    return 0
 
 
 def main():

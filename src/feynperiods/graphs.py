@@ -234,15 +234,13 @@ class FeynmanGraph:
             legs=tuple(leg for leg in self.legs if leg.vertex in set(vs)),
         )
 
-    def enumerate_subgraphs(self, max_edges=None):
+    def enumerate_subgraphs(self):
         """All nonempty proper subsets of the internal edge ids.
 
         Yields sorted tuples, ordered by size and then lexicographically.
-        ``max_edges`` caps the subset size.
         """
         ids = sorted(self.edge_ids())
-        top = len(ids) - 1 if max_edges is None else min(max_edges, len(ids) - 1)
-        for size in range(1, top + 1):
+        for size in range(1, len(ids)):
             yield from combinations(ids, size)
 
 
@@ -268,9 +266,11 @@ def graph_from_dict(data):
     for i, e in enumerate(data.get("edges", [])):
         where = f"edges[{i}]"
         try:
-            eid = int(e["id"])
+            eid = e["id"]
             ends = e["ends"]
-        except (KeyError, TypeError, ValueError):
+            if type(eid) is not int:  # a JSON integer, not a bool, float or string
+                raise TypeError
+        except (KeyError, TypeError):
             raise ValueError(f"bad edge entry at {where}") from None
         if not isinstance(ends, (list, tuple)) or len(ends) != 2:
             raise ValueError(f"{where}.ends must list two vertices")

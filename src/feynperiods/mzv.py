@@ -35,6 +35,7 @@ here.)
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from decimal import Decimal, getcontext, localcontext
@@ -76,8 +77,18 @@ def euler_even_zeta(n):
     return c, float(value)
 
 
+def _as_int(name, value):
+    """``value`` as an int; a bool or a non-integral number is a ValueError naming ``name``."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def _validate_indices(indices):
-    idx = tuple(int(n) for n in indices)
+    idx = tuple(_as_int("index", n) for n in indices)
     if not idx:
         raise ValueError("empty index")
     if any(n < 1 for n in idx):
@@ -127,7 +138,7 @@ def _prefix_values(letters, order):
     return values
 
 
-def _mzv_decimal(indices, tol, cutoff=None):
+def _mzv_decimal(indices, tol):
     """(value, error bound) for an admissible index, in the current Decimal context.
 
     For the word ``w = a_1 ... a_n`` (letter 1 at the 0 end) the path from 0
@@ -138,8 +149,7 @@ def _mzv_decimal(indices, tol, cutoff=None):
 
     with ``L(u) = I(0; u; 1/2)`` and ``~`` swapping 0 and 1.  Every L is a
     series with non-negative coefficients, at most 1, and cut at the same
-    order K: the smallest one whose summed tails stay under ``tol / 2``, or
-    ``cutoff`` when given (raised to the least order the tail bound covers).
+    order K: the smallest one whose summed tails stay under ``tol / 2``.
     """
     letters = iterated_integral_word(indices).letters
     n = len(letters)
@@ -153,19 +163,16 @@ def _mzv_decimal(indices, tol, cutoff=None):
     def truncation(order):
         return sum(m * _tail_bound(order, p) for p, m in counts.items())
 
-    if cutoff is not None:
-        order = max(int(cutoff), least)
-    else:
-        # the bound decreases in the order: double, then bisect
-        lo, order = least - 1, least
-        while truncation(order) > tol / 2:
-            lo, order = order, 2 * order
-        while order - lo > 1:
-            mid = (lo + order) // 2
-            if truncation(mid) > tol / 2:
-                lo = mid
-            else:
-                order = mid
+    # the bound decreases in the order: double, then bisect
+    lo, order = least - 1, least
+    while truncation(order) > tol / 2:
+        lo, order = order, 2 * order
+    while order - lo > 1:
+        mid = (lo + order) // 2
+        if truncation(mid) > tol / 2:
+            lo = mid
+        else:
+            order = mid
 
     left = _prefix_values(letters, order)
     right = _prefix_values(dual, order)
@@ -185,12 +192,12 @@ def _mzv_decimal(indices, tol, cutoff=None):
 def _digits_to_tol(target_digits):
     if target_digits < 1:
         raise ValueError("target_digits must be >= 1")
-    return Decimal(1).scaleb(-int(target_digits)) / 2
+    return Decimal(1).scaleb(-target_digits) / 2
 
 
 def zeta(n, target_digits=12):
     """zeta(n) for integer n >= 2, accurate to ``target_digits`` decimals."""
-    n = int(n)
+    n = _as_int("n", n)
     if n < 2:
         raise ValueError("zeta(n) needs n >= 2")
     return mzv((n,), target_digits)
@@ -206,19 +213,13 @@ def mzv(indices, target_digits=12):
     return float(value)
 
 
-def mzv_with_error(indices, target_digits=12, cutoff=None):
-    """(value, certified error bound) as Decimals.
-
-    ``cutoff`` pins the series order K instead of choosing it from the
-    accuracy target (raised to ``2 max(depth, weight - depth) - 2`` if
-    lower, where the tail bound starts to hold); the returned bound then
-    reports what that order actually certifies.  Intended for convergence
-    diagnostics.
-    """
+def mzv_with_error(indices, target_digits=12):
+    """(value, certified error bound) as Decimals."""
+    target_digits = _as_int("target_digits", target_digits)
     tol = _digits_to_tol(target_digits)
     with localcontext() as ctx:
         ctx.prec = target_digits + 15
-        value, bound = _mzv_decimal(indices, tol, cutoff=cutoff)
+        value, bound = _mzv_decimal(indices, tol)
         return +value, +bound
 
 

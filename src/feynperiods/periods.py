@@ -45,7 +45,6 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-import operator
 import threading
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -55,7 +54,7 @@ from decimal import Decimal, localcontext
 import numpy as np
 
 from .divergence import IntegrandSpec, projective_degree
-from .mzv import mzv_with_error
+from .mzv import _as_int, mzv_with_error
 from .symanzik import psi_enumerate, xi
 
 _CHUNK = 1 << 18
@@ -81,16 +80,6 @@ class PeriodEstimate:
             )
         if self.std_error < 0:
             raise ValueError("std_error must be nonnegative")
-
-
-def _as_int(name, value):
-    """``value`` as an int; a bool or a non-integral number is a ValueError naming ``name``."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _run_chunk(payload, chunk):

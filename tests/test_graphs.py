@@ -173,8 +173,6 @@ def test_enumerate_subgraphs():
     assert all(0 < len(s) < 4 for s in subs)  # nonempty and proper
     assert len(subs) == 2 ** 4 - 2
     assert subs == sorted(subs, key=lambda s: (len(s), s))
-    capped = list(fourgraph().enumerate_subgraphs(max_edges=2))
-    assert all(len(s) <= 2 for s in capped)
 
 
 def test_round_trip_through_dict():
@@ -197,6 +195,12 @@ def test_load_graph_error_paths(tmp_path):
         {"id": 2, "ends": ["u", "v"]}]}))
     with pytest.raises(ValueError, match="1..N"):
         load_graph(str(p))
+
+    for eid in (True, 1.7, 2.0, "2"):
+        p.write_text(json.dumps({"vertices": ["u", "v"], "edges": [
+            {"id": 1, "ends": ["u", "v"]}, {"id": eid, "ends": ["u", "v"]}]}))
+        with pytest.raises(ValueError, match=r"bad edge entry at edges\[1\]"):
+            load_graph(str(p))
 
 
 def test_graph_fields_must_be_lists():

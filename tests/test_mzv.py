@@ -15,6 +15,7 @@ import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -172,15 +173,13 @@ def test_divergent_indices_rejected():
         mzv((0, 2))
     with pytest.raises(ValueError):
         mzv(())
-
-
-def test_cutoff_diagnostics():
-    # a pinned cutoff certifies less accuracy but must stay honest
-    v_lo, b_lo = mzv_with_error((3, 5), 12, cutoff=64)
-    v_hi, b_hi = mzv_with_error((3, 5), 12, cutoff=4096)
-    assert b_lo > b_hi
-    assert abs(v_lo - ZETA35) <= b_lo
-    assert abs(v_hi - ZETA35) <= b_hi
+    # non-integral or boolean indices and digits are refused, not truncated
+    for call in (lambda: zeta(2.5), lambda: zeta(True), lambda: mzv((2.9, 3)),
+                 lambda: mzv((True, 2)), lambda: mzv_with_error((3,), 5.9),
+                 lambda: mzv_with_error((3,), True)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            call()
+    assert mzv((np.int64(3), np.int32(5)), np.int64(12)) == mzv((3, 5), 12)
 
 
 def test_stuffle_product():
