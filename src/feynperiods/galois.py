@@ -32,6 +32,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .mzv import _as_int
+
 RATIO_MAGNITUDE = Fraction(216, 522)  # == 12/29
 
 
@@ -60,7 +62,7 @@ class GaloisElement:
         pairs = dict(self.sigma) if not isinstance(self.sigma, dict) else self.sigma
         clean = {}
         for n, value in pairs.items():
-            n = int(n)
+            n = _as_int("sigma index", n)
             if n < 3 or n % 2 == 0:
                 raise ValueError(f"sigma parameters live at odd n >= 3, got {n}")
             value = _frac(value, f"sigma_{n}")
@@ -128,6 +130,7 @@ def rep_log2(g):
 
 def rep_zeta_even(g, n):
     """Action on the 1-dimensional span of zeta(n), n even >= 2."""
+    n = _as_int("n", n)
     if n < 2 or n % 2:
         raise ValueError("rep_zeta_even needs an even index n >= 2")
     return RepMatrix(((g.lam**n,),), (f"zeta({n})",))
@@ -135,6 +138,7 @@ def rep_zeta_even(g, n):
 
 def rep_zeta_odd(g, n):
     """Action on the span of (zeta(n), 1), n odd >= 3."""
+    n = _as_int("n", n)
     if n < 3 or n % 2 == 0:
         raise ValueError("rep_zeta_odd needs an odd index n >= 3")
     return RepMatrix(

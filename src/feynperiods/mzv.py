@@ -88,7 +88,11 @@ def _as_int(name, value):
 
 
 def _validate_indices(indices):
-    idx = tuple(_as_int("index", n) for n in indices)
+    try:
+        items = tuple(indices)
+    except TypeError:
+        raise ValueError(f"indices must be a sequence of integers, got {indices!r}") from None
+    idx = tuple(_as_int("index", n) for n in items)
     if not idx:
         raise ValueError("empty index")
     if any(n < 1 for n in idx):

@@ -22,7 +22,8 @@ MonomialKey = tuple[tuple[int, int], ...]
 
 
 def _normalize_coeff(c):
-    if isinstance(c, Fraction) and c.denominator == 1:
+    # an exact type test: isinstance against Fraction goes through ABCMeta and costs ~10x
+    if type(c) is Fraction and c.denominator == 1:
         return int(c)
     return c
 

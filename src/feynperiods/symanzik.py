@@ -41,9 +41,12 @@ spanning tree of G/gamma, and every such pair of forest and tree makes one
 spanning tree of G.  So the terms of lowest gamma-degree are the product
 psi_gamma * psi_{G/gamma} with every coefficient 1: their gamma-parts are
 psi_gamma, their other parts psi_{G/gamma}, and all other terms form R, whose
-gamma-degree is strictly greater than h_gamma.  The analogous xi
-decompositions isolate ultraviolet (contract gamma) and infrared (gamma
-carries all mass and momentum dependence) behaviour.
+gamma-degree is strictly greater than h_gamma.  The split works on edge
+bitmasks kept next to the psi memo, one per term with bit i for the i-th
+smallest edge id: a term's gamma-part is ``mask & gamma_mask``, its
+gamma-degree the popcount of that.  The analogous xi decompositions isolate
+ultraviolet (contract gamma) and infrared (gamma carries all mass and
+momentum dependence) behaviour.
 """
 
 from __future__ import annotations
@@ -165,6 +168,34 @@ def psi_enumerate(g):
     if psi is None:
         psi = g.__dict__["_psi"] = _complement_sum(g, ((tree, 1) for tree in spanning_trees(g)))
     return psi
+
+
+class _TermMasks(dict):
+    """Edge bitmasks of the terms of one psi, as a mask -> monomial key dict.
+
+    Bit i stands for ``ids[i]``, the i-th smallest edge id.  ``masks`` lists
+    one mask per term of ``psi``, in ``psi.terms`` order, and ``loops`` is
+    the mask of the self-loop edges.  The dict starts with the terms' own
+    keys; looking up any other mask builds its squarefree key and keeps it.
+    """
+
+    def __init__(self, g, psi):
+        self.psi = psi
+        self.ids = sorted(g.edge_ids())
+        self.bit = {eid: 1 << i for i, eid in enumerate(self.ids)}
+        self.masks = [sum(self.bit[v] for v, _ in key) for key in psi.terms]
+        self.loops = sum(self.bit[e.id] for e in g.edges if e.is_loop)
+        super().__init__(zip(self.masks, psi.terms))
+
+    def __missing__(self, mask):
+        key = []
+        rest = mask
+        while rest:
+            low = rest & -rest
+            key.append((self.ids[low.bit_length() - 1], 1))
+            rest ^= low
+        key = self[mask] = tuple(key)
+        return key
 
 
 def _cofactor_determinant(m):
@@ -348,19 +379,26 @@ def partial_factor_psi(g, gamma):
     """
     gamma = _check_gamma(g, gamma)
     psi_g = psi_enumerate(g)
-    for eid in gamma:  # a self-loop in gamma leaves no quotient graph
-        if g.edge_by_id(eid).is_loop:
-            raise ValueError(f"cannot contract self-loop edge {eid}")
-    inside = set(gamma)
-    parts = [(tuple(p for p in key if p[0] in inside), key) for key in psi_g.terms]
+    # the masks are memoised next to psi, and rebuilt if the psi memo was replaced
+    keys = g.__dict__.get("_term_masks")
+    if keys is None or keys.psi is not psi_g:
+        keys = g.__dict__["_term_masks"] = _TermMasks(g, psi_g)
+    gm = 0
+    for eid in gamma:
+        gm |= keys.bit[eid]
+    looped = gm & keys.loops
+    if looped:  # a self-loop in gamma leaves no quotient graph
+        first = (looped & -looped).bit_length() - 1
+        raise ValueError(f"cannot contract self-loop edge {keys.ids[first]}")
+    subs = [m & gm for m in keys.masks]
     # every spanning forest of gamma extends to a spanning tree of G, so the
     # lowest gamma-degree is h_gamma
-    h_gamma = min(len(sub) for sub, _ in parts)
+    h_gamma = min(map(int.bit_count, subs))
     sub_terms, quotient_terms, remainder = {}, {}, {}
-    for sub, key in parts:
-        if len(sub) == h_gamma:
-            sub_terms[sub] = 1
-            quotient_terms[tuple(p for p in key if p[0] not in inside)] = 1
+    for m, sub, key in zip(keys.masks, subs, psi_g.terms):
+        if sub.bit_count() == h_gamma:
+            sub_terms[keys[sub]] = 1
+            quotient_terms[keys[m ^ sub]] = 1  # the term's edges outside gamma
         else:
             remainder[key] = 1
     return Factorization(

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from feynperiods.galois import (
@@ -47,6 +48,11 @@ def test_element_validation():
     assert g.sigma == ((3, Fraction(1, 2)),)  # zeros dropped, sorted
     assert g.sigma_odd(5) == 0
     assert g.sigma_odd(3) == Fraction(1, 2)
+    # a sigma index must be an integer, not a number that truncates to one
+    for n in (3.7, 3.0, True, Fraction(3)):
+        with pytest.raises(ValueError, match="sigma index must be an integer"):
+            GaloisElement(sigma={n: 2})
+    assert GaloisElement(sigma={np.int64(3): 2}).sigma == ((3, 2),)
 
 
 def test_identity_matrices():
@@ -85,6 +91,12 @@ def test_even_odd_index_validation():
         rep_zeta_even(g, 3)
     with pytest.raises(ValueError, match="odd"):
         rep_zeta_odd(g, 4)
+    for rep, n in ((rep_zeta_even, 4.0), (rep_zeta_odd, 3.0), (rep_zeta_odd, 3.7),
+                   (rep_zeta_odd, True)):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            rep(g, n)
+    assert rep_zeta_odd(g, np.int64(3)).basis == ("zeta(3)", "1")
+    assert rep_zeta_even(g, np.int32(4)).basis == ("zeta(4)",)
 
 
 def test_compose_is_a_homomorphism_everywhere():

@@ -15,6 +15,7 @@ from feynperiods.graphs import Edge, FeynmanGraph
 from feynperiods.polynomials import SparsePolynomial, _term_sort_key, parse_polynomial
 from feynperiods.symanzik import (
     Factorization,
+    _check_gamma,
     _cofactor_determinant,
     partial_factor_psi,
     psi_determinant,
@@ -111,6 +112,75 @@ def test_partial_factor_equals_subgraph_times_quotient(g):
             quotient = psi_enumerate(fresh.contract_subgraph(gamma))
             expect = Factorization(sub, quotient, psi - sub * quotient)
             assert partial_factor_psi(g, gamma) == expect, gamma
+
+
+def split_by_filtering_keys(g, gamma):
+    """Oracle for partial_factor_psi: filter each term's key tuple by gamma."""
+    gamma = _check_gamma(g, gamma)
+    psi_g = psi_enumerate(g)
+    for eid in gamma:
+        if g.edge_by_id(eid).is_loop:
+            raise ValueError(f"cannot contract self-loop edge {eid}")
+    inside = set(gamma)
+    parts = [(tuple(p for p in key if p[0] in inside), key) for key in psi_g.terms]
+    h_gamma = min(len(sub) for sub, _ in parts)
+    sub_terms, quotient_terms, remainder = {}, {}, {}
+    for sub, key in parts:
+        if len(sub) == h_gamma:
+            sub_terms[sub] = 1
+            quotient_terms[tuple(p for p in key if p[0] not in inside)] = 1
+        else:
+            remainder[key] = 1
+    parts = (sub_terms, quotient_terms, remainder)
+    return Factorization(*map(SparsePolynomial.from_canonical, parts))
+
+
+def split_outcome(split, g, gamma):
+    """The three parts' terms in their stored order, or the error text."""
+    try:
+        f = split(g, gamma)
+    except ValueError as exc:
+        return str(exc)
+    return [list(p.terms.items()) for p in (f.factor_sub, f.factor_quotient, f.remainder)]
+
+
+def assert_split_matches_oracle(g, gammas):
+    # the oracle reads a fresh copy of g, which shares no memo with it
+    fresh = FeynmanGraph(vertices=g.vertices, edges=g.edges, legs=g.legs)
+    for gamma in gammas:
+        want = split_outcome(split_by_filtering_keys, fresh, gamma)
+        assert split_outcome(partial_factor_psi, g, gamma) == want, gamma
+
+
+@settings(max_examples=100, deadline=None)
+@given(g=connected_multigraphs(), shift=st.sampled_from((0, 60)), isolated=st.booleans())
+def test_split_matches_key_filter_oracle(g, shift, isolated):
+    # shift 60 puts edge ids on both sides of 64; an isolated vertex disconnects g
+    g = FeynmanGraph(
+        vertices=g.vertices + (("z",) if isolated else ()),
+        edges=tuple(Edge(e.id + shift, e.ends) for e in g.edges),
+    )
+    ids = sorted(g.edge_ids())
+    subsets = [gamma for r in range(len(ids) + 1) for gamma in combinations(ids, r)]
+    unknown = max(ids, default=shift) + 1
+    assert_split_matches_oracle(g, subsets + [(unknown,), tuple(ids[:1]) + (unknown,)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_split_matches_key_filter_oracle_past_64_edges(data):
+    # a path with a parallel edge and two self-loops: masks need more than 64 bits
+    n = 70
+    ends = [(f"v{i}", f"v{i + 1}") for i in range(n - 1)]
+    ends += [("v0", "v1"), ("v68", "v69"), ("v5", "v5"), ("v66", "v66")]
+    ids = data.draw(st.permutations(range(1, len(ends) + 1)))
+    g = FeynmanGraph(
+        vertices=tuple(f"v{i}" for i in range(n)),
+        edges=tuple(Edge(i, e) for i, e in zip(ids, ends)),
+    )
+    edge = st.sampled_from(sorted(ids))
+    gammas = data.draw(st.lists(st.lists(edge, max_size=len(ids)), min_size=1, max_size=20))
+    assert_split_matches_oracle(g, gammas + [list(ids), [len(ids) + 1, *ids[:2]]])
 
 
 @settings(max_examples=150, deadline=None)

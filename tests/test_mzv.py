@@ -173,6 +173,10 @@ def test_divergent_indices_rejected():
         mzv((0, 2))
     with pytest.raises(ValueError):
         mzv(())
+    # a bare number is not an index sequence
+    for call in (lambda: mzv(3), lambda: iterated_integral_word(3)):
+        with pytest.raises(ValueError, match="indices must be a sequence of integers, got 3"):
+            call()
     # non-integral or boolean indices and digits are refused, not truncated
     for call in (lambda: zeta(2.5), lambda: zeta(True), lambda: mzv((2.9, 3)),
                  lambda: mzv((True, 2)), lambda: mzv_with_error((3,), 5.9),

@@ -236,10 +236,17 @@ def test_psi_memo_is_invisible():
     doc = graph_to_dict(g)
     psi = psi_enumerate(g)
     assert psi_enumerate(g) is psi
+    split = partial_factor_psi(g, (1, 2))  # memoises the term masks next to psi
     twin = graph_from_dict(doc)
     assert g == twin and hash(g) == hash(twin) and repr(g) == repr(twin)
     assert graph_to_dict(g) == doc
     assert pickle.loads(pickle.dumps(g)) == g
+    # the memo and the masks travel with a pickled graph and stay consistent
+    copy = pickle.loads(pickle.dumps(g))
+    assert vars(copy).keys() == vars(g).keys()
+    for gamma in ((1, 2), (3, 5, 8), (2,)):
+        assert partial_factor_psi(copy, gamma) == partial_factor_psi(twin, gamma)
+    assert partial_factor_psi(copy, (1, 2)) == split
     # minors are new graphs with their own psi
     for minor in (g.delete_edge(1), g.contract_subgraph((1, 2))):
         assert psi_enumerate(minor) != psi
@@ -249,3 +256,5 @@ def test_psi_memo_is_invisible():
     vars(g)[key] = psi + 1
     assert psi_enumerate(g) == psi + 1
     assert psi_determinant(g) == psi
+    # the split follows the planted memo, not the masks of the old one
+    assert partial_factor_psi(g, (1, 2)).recombine() == psi + 1
