@@ -26,7 +26,6 @@ import math
 import operator
 import re
 import sys
-from fractions import Fraction
 
 from .divergence import IntegrandSpec, is_phi4, is_primitive, projective_degree, weight_bound
 from .galois import (
@@ -43,7 +42,7 @@ from .galois import (
 from .graphs import load_graph
 from .mzv import iterated_integral_word, mzv_with_error, p35
 from .periods import integrate
-from .polynomials import parse_polynomial
+from .polynomials import _as_fraction, parse_polynomial
 from .symanzik import SymanzikSet
 
 
@@ -52,13 +51,6 @@ def _parse_indices(text):
         return tuple(int(part) for part in text.split(","))
     except ValueError:
         raise ValueError(f"cannot parse index list {text!r}; expected e.g. '3' or '3,5'")
-
-
-def _parse_fraction(text):
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise ValueError(f"cannot parse rational number {text!r}")
 
 
 _EXPECT_DOC = "allowed: numbers, + - * / **, unary minus, zeta(n, ...), pi, log2, p35"
@@ -261,17 +253,12 @@ def _galois_element(args):
             index = int(left)
         except ValueError:
             raise ValueError(f"--sigma N=VALUE needs an integer N, got {text!r}") from None
-        sigma[index] = _parse_fraction(right)
+        sigma[index] = right
     if args.sigma3 is not None:
-        sigma[3] = _parse_fraction(args.sigma3)
+        sigma[3] = args.sigma3
     if args.sigma5 is not None:
-        sigma[5] = _parse_fraction(args.sigma5)
-    return GaloisElement(
-        lam=_parse_fraction(args.lam),
-        nu=_parse_fraction(args.nu),
-        sigma=sigma,
-        sigma35=_parse_fraction(args.sigma35),
-    )
+        sigma[5] = args.sigma5
+    return GaloisElement(lam=args.lam, nu=args.nu, sigma=sigma, sigma35=args.sigma35)
 
 
 # galois rep NAME: the representation's matrix for a group element and --n
@@ -302,7 +289,7 @@ def _cmd_galois_span(args):
 
 
 def _cmd_galois_check_ratio(args):
-    c1, c2 = (_parse_fraction(text) for text in args.coeffs)
+    c1, c2 = (_as_fraction(name, text) for name, text in zip(("c1", "c2"), args.coeffs))
     check = check_ratio_constraint(c1, c2)
     results = {
         "c1": str(c1),

@@ -19,8 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .graphs import _classes
-from .polynomials import SparsePolynomial
+from .graphs import _classes, _require_connected
+from .polynomials import SparsePolynomial, _as_int
 
 
 @dataclass(frozen=True)
@@ -32,8 +32,11 @@ class IntegrandSpec:
     xi_power: int = 0
 
     def __post_init__(self):
-        if self.psi_power < 0 or self.xi_power < 0:
-            raise ValueError("denominator powers must be nonnegative")
+        for name in ("psi_power", "xi_power"):
+            power = _as_int(name, getattr(self, name))
+            if power < 0:
+                raise ValueError("denominator powers must be nonnegative")
+            object.__setattr__(self, name, power)
         if not isinstance(self.numerator, SparsePolynomial):
             raise ValueError("numerator must be a SparsePolynomial")
 
@@ -49,7 +52,7 @@ def projective_degree(g, spec):
 
 def subgraph_loop_number(g, gamma):
     """Loop number of the subgraph induced by the edge ids ``gamma``."""
-    edges = [g.edge_by_id(eid) for eid in gamma]
+    edges = [g.edge_by_id(eid) for eid in dict.fromkeys(gamma)]
     verts = {v for e in edges for v in e.ends}
     comps = len(set(_classes(verts, (e.ends for e in edges)).values()))
     return len(edges) - len(verts) + comps
@@ -62,8 +65,7 @@ def is_primitive(g):
     more edges than twice its loop number, else ``(False, witness)`` with
     the first failing edge set (smallest, then lexicographic).
     """
-    if not g.is_connected():
-        raise ValueError("primitivity test needs a connected graph")
+    _require_connected(g, "primitivity test")
     for gamma in g.enumerate_subgraphs():
         if len(gamma) <= 2 * subgraph_loop_number(g, gamma):
             return (False, gamma)

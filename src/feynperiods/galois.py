@@ -25,6 +25,11 @@ coefficient measures exactly that.
 
 ``compose`` realizes the group law: for every representation R above,
 ``R(compose(g, h)) = R(h) @ R(g)`` holds exactly.
+
+Every parameter, and each coefficient given to
+:func:`check_ratio_constraint`, is a Fraction, an integer or a rational
+string such as ``"3/4"`` (see :func:`polynomials._as_fraction`).  Bools and
+floats are refused.
 """
 
 from __future__ import annotations
@@ -32,16 +37,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .mzv import _as_int
+from .polynomials import _as_fraction, _as_int
 
 RATIO_MAGNITUDE = Fraction(216, 522)  # == 12/29
-
-
-def _frac(x, what):
-    try:
-        return Fraction(x)
-    except (ValueError, TypeError, ZeroDivisionError):
-        raise ValueError(f"{what} must be rational, got {x!r}") from None
 
 
 @dataclass(frozen=True)
@@ -54,18 +52,18 @@ class GaloisElement:
     sigma35: Fraction = Fraction(0)
 
     def __post_init__(self):
-        object.__setattr__(self, "lam", _frac(self.lam, "lam"))
+        object.__setattr__(self, "lam", _as_fraction("lam", self.lam))
         if self.lam == 0:
             raise ValueError("lam must be nonzero (the action is invertible)")
-        object.__setattr__(self, "nu", _frac(self.nu, "nu"))
-        object.__setattr__(self, "sigma35", _frac(self.sigma35, "sigma35"))
+        object.__setattr__(self, "nu", _as_fraction("nu", self.nu))
+        object.__setattr__(self, "sigma35", _as_fraction("sigma35", self.sigma35))
         pairs = dict(self.sigma) if not isinstance(self.sigma, dict) else self.sigma
         clean = {}
         for n, value in pairs.items():
             n = _as_int("sigma index", n)
             if n < 3 or n % 2 == 0:
                 raise ValueError(f"sigma parameters live at odd n >= 3, got {n}")
-            value = _frac(value, f"sigma_{n}")
+            value = _as_fraction(f"sigma_{n}", value)
             if value:
                 clean[n] = value
         object.__setattr__(self, "sigma", tuple(sorted(clean.items())))
@@ -227,8 +225,8 @@ def check_ratio_constraint(c_zeta3_zeta35, c_zeta3_zeta8):
     the zeta(8) term's conjugates.  The sign depends on basis conventions
     and is reported rather than tested.
     """
-    c1 = _frac(c_zeta3_zeta35, "coefficient")
-    c2 = _frac(c_zeta3_zeta8, "coefficient")
+    c1 = _as_fraction("c_zeta3_zeta35", c_zeta3_zeta35)
+    c2 = _as_fraction("c_zeta3_zeta8", c_zeta3_zeta8)
     if c2 == 0:
         raise ValueError("the zeta(3)*zeta(8) coefficient must be nonzero")
     ratio = c1 / c2

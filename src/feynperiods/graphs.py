@@ -12,6 +12,10 @@ Conventions
 * Each edge carries a squared mass (exact rational, >= 0).  Each leg carries
   an incoming momentum as four exact rational components, with all-Euclidean
   (positive definite) squares.
+* Exact inputs follow one rule (see :func:`polynomials._as_fraction`): an
+  edge id is an integer, and a mass or a momentum component is a Fraction,
+  an integer or a rational string such as ``"3/4"``.  Bools and floats are
+  refused.
 * The loop number is E - V + (number of connected components), counting a
   vertex that carries only legs as its own component.
 
@@ -25,18 +29,7 @@ from fractions import Fraction
 from itertools import combinations
 import json
 
-
-def _as_fraction(value, where=""):
-    try:
-        if isinstance(value, Fraction):
-            return value
-        if isinstance(value, int):
-            return Fraction(value)
-        if isinstance(value, str):
-            return Fraction(value)
-    except (ValueError, ZeroDivisionError):
-        pass
-    raise ValueError(f"not an exact rational at {where or 'input'}: {value!r}")
+from .polynomials import _as_fraction, _as_int
 
 
 def _classes(vertices, pairs):
@@ -60,6 +53,11 @@ def _classes(vertices, pairs):
     return parent
 
 
+def _require_connected(g, what):
+    if not g.is_connected():
+        raise ValueError(f"{what} needs a connected graph (components: {len(g.components())})")
+
+
 @dataclass(frozen=True)
 class Edge:
     """Internal edge: id, unordered endpoints, squared mass."""
@@ -69,12 +67,13 @@ class Edge:
     mass_sq: Fraction = Fraction(0)
 
     def __post_init__(self):
-        if not isinstance(self.id, int) or self.id < 1:
+        object.__setattr__(self, "id", _as_int("edge id", self.id))
+        if self.id < 1:
             raise ValueError(f"edge id must be a positive integer, got {self.id}")
-        if len(self.ends) != 2:
+        if not isinstance(self.ends, (list, tuple)) or len(self.ends) != 2:
             raise ValueError(f"edge {self.id} needs exactly two endpoints")
         object.__setattr__(self, "ends", (str(self.ends[0]), str(self.ends[1])))
-        object.__setattr__(self, "mass_sq", _as_fraction(self.mass_sq, f"edge {self.id} mass_sq"))
+        object.__setattr__(self, "mass_sq", _as_fraction(f"edge {self.id} mass_sq", self.mass_sq))
         if self.mass_sq < 0:
             raise ValueError(f"edge {self.id} has negative squared mass")
 
@@ -91,11 +90,11 @@ class ExternalLeg:
     momentum: tuple[Fraction, Fraction, Fraction, Fraction]
 
     def __post_init__(self):
-        if len(self.momentum) != 4:
+        if not isinstance(self.momentum, (list, tuple)) or len(self.momentum) != 4:
             raise ValueError("momentum needs exactly 4 components")
         object.__setattr__(self, "vertex", str(self.vertex))
         object.__setattr__(
-            self, "momentum", tuple(_as_fraction(q, "leg momentum") for q in self.momentum)
+            self, "momentum", tuple(_as_fraction("leg momentum", q) for q in self.momentum)
         )
 
     def momentum_sq(self):
@@ -251,8 +250,9 @@ def graph_from_dict(data):
     """Build a graph from the JSON-style dict format.
 
     ``{"vertices": [...], "edges": [{"id", "ends", "mass_sq"}],
-    "legs": [{"vertex", "momentum"}]}`` with rationals as "num/den" strings.
-    Errors name the offending entry.
+    "legs": [{"vertex", "momentum"}]}`` with integer ids and rationals as
+    integers or "num/den" strings.  :class:`Edge` and :class:`ExternalLeg`
+    check each entry; errors name the offending entry.
     """
     if not isinstance(data, dict):
         raise ValueError("graph document must be a JSON object")
@@ -264,34 +264,20 @@ def graph_from_dict(data):
     vertices = tuple(str(v) for v in data["vertices"])
     edges = []
     for i, e in enumerate(data.get("edges", [])):
-        where = f"edges[{i}]"
         try:
-            eid = e["id"]
-            ends = e["ends"]
-            if type(eid) is not int:  # a JSON integer, not a bool, float or string
-                raise TypeError
-        except (KeyError, TypeError):
-            raise ValueError(f"bad edge entry at {where}") from None
-        if not isinstance(ends, (list, tuple)) or len(ends) != 2:
-            raise ValueError(f"{where}.ends must list two vertices")
-        mass_sq = _as_fraction(e.get("mass_sq", 0), f"{where}.mass_sq")
-        edges.append(Edge(eid, (str(ends[0]), str(ends[1])), mass_sq))
+            edges.append(Edge(e["id"], e["ends"], e.get("mass_sq", 0)))
+        except KeyError as exc:
+            raise ValueError(f"bad edge entry at edges[{i}]: missing {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"bad edge entry at edges[{i}]: {exc}") from None
     legs = []
     for i, leg in enumerate(data.get("legs", [])):
-        where = f"legs[{i}]"
         try:
-            vertex = str(leg["vertex"])
-            momentum = leg["momentum"]
-        except (KeyError, TypeError):
-            raise ValueError(f"bad leg entry at {where}") from None
-        if not isinstance(momentum, (list, tuple)) or len(momentum) != 4:
-            raise ValueError(f"{where}.momentum must have 4 components")
-        legs.append(
-            ExternalLeg(
-                vertex,
-                tuple(_as_fraction(q, f"{where}.momentum[{j}]") for j, q in enumerate(momentum)),
-            )
-        )
+            legs.append(ExternalLeg(leg["vertex"], leg["momentum"]))
+        except KeyError as exc:
+            raise ValueError(f"bad leg entry at legs[{i}]: missing {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"bad leg entry at legs[{i}]: {exc}") from None
     ids = sorted(e.id for e in edges)
     if ids != list(range(1, len(ids) + 1)):
         raise ValueError("edge ids must be exactly 1..N")

@@ -35,12 +35,13 @@ here.)
 from __future__ import annotations
 
 import math
-import operator
 from collections import Counter
 from dataclasses import dataclass
 from decimal import Decimal, getcontext, localcontext
 from fractions import Fraction
 from functools import lru_cache
+
+from .polynomials import _as_int
 
 # pi to 50 digits, for float-accurate even zeta values
 _PI = Decimal("3.14159265358979323846264338327950288419716939937511")
@@ -75,16 +76,6 @@ def euler_even_zeta(n):
         ctx.prec = 40
         value = Decimal(c.numerator) / Decimal(c.denominator) * _PI ** n
     return c, float(value)
-
-
-def _as_int(name, value):
-    """``value`` as an int; a bool or a non-integral number is a ValueError naming ``name``."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _validate_indices(indices):

@@ -54,7 +54,8 @@ from decimal import Decimal, localcontext
 import numpy as np
 
 from .divergence import IntegrandSpec, projective_degree
-from .mzv import _as_int, mzv_with_error
+from .mzv import mzv_with_error
+from .polynomials import _as_int
 from .symanzik import psi_enumerate, xi
 
 _CHUNK = 1 << 18

@@ -8,10 +8,15 @@ plain ints where possible, ``fractions.Fraction`` otherwise.
 
 The text rendering is deterministic (graded order, then lexicographic on the
 variable/exponent pairs) and round-trips through :func:`parse_polynomial`.
+
+This module also holds the package's one policy for exact inputs, which every
+public boundary applies: :func:`_as_int` for integers and :func:`_as_fraction`
+for rationals.  Bools and floats are refused by both.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from fractions import Fraction
 
@@ -19,6 +24,36 @@ import numpy as np
 
 Coeff = int | Fraction
 MonomialKey = tuple[tuple[int, int], ...]
+
+
+def _as_int(name, value):
+    """``value`` as an int; a bool or a non-integral number is a ValueError naming ``name``.
+
+    Anything with ``__index__`` counts as an integer, so numpy integers pass.
+    """
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _as_fraction(name, value):
+    """``value`` as a Fraction: a Fraction, an integer or a string such as ``"3/4"``.
+
+    Integers are read by :func:`_as_int`.  Anything else (a bool, a float
+    including inf and nan, a Decimal, None, or a string that is not a finite
+    rational) is a ValueError naming ``name``.
+    """
+    if type(value) is Fraction:
+        return value
+    try:
+        if isinstance(value, str):
+            return Fraction(value)
+        return Fraction(_as_int(name, value))
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{name} must be an exact rational, got {value!r}") from None
 
 
 def _normalize_coeff(c):

@@ -56,12 +56,8 @@ from fractions import Fraction
 from itertools import combinations
 from operator import itemgetter
 
+from .graphs import _require_connected
 from .polynomials import SparsePolynomial
-
-
-def _require_connected(g, what):
-    if not g.is_connected():
-        raise ValueError(f"{what} needs a connected graph (components: {len(g.components())})")
 
 
 # -- spanning forests ------------------------------------------------------
@@ -236,16 +232,11 @@ def psi_determinant(g):
     _require_connected(g, "psi")
     order = sorted(g.vertices)
     idx = {v: i for i, v in enumerate(order)}
-    n = len(order)
-    nonloop_ids = []
-    loop_ids = []
-    size = n - 1
+    size = len(order) - 1
     lap = [[SparsePolynomial.zero() for _ in range(size)] for _ in range(size)]
     for e in g.edges:
         if e.is_loop:
-            loop_ids.append(e.id)
             continue
-        nonloop_ids.append(e.id)
         var = SparsePolynomial.variable(e.id)
         i, j = idx[e.ends[0]], idx[e.ends[1]]
         if i < size:
@@ -256,14 +247,7 @@ def psi_determinant(g):
             lap[i][j] = lap[i][j] - var
             lap[j][i] = lap[j][i] - var
     kirchhoff = _cofactor_determinant(lap)
-    nonloop = frozenset(nonloop_ids)
-    loop_key = tuple((v, 1) for v in sorted(loop_ids))
-    terms = []
-    for key, coeff in kirchhoff.terms.items():
-        support = {v for v, _ in key}
-        comp = tuple((v, 1) for v in sorted(nonloop - support))
-        terms.append((comp + loop_key, coeff))
-    return SparsePolynomial(terms)
+    return _complement_sum(g, [([v for v, _ in key], c) for key, c in kirchhoff.terms.items()])
 
 
 def phi(g):

@@ -26,6 +26,11 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         IntegrandSpec(numerator="a1")
     assert IntegrandSpec().numerator == SparsePolynomial.one()
+    for power in (2.0, True):
+        with pytest.raises(ValueError, match="psi_power must be an integer"):
+            IntegrandSpec(psi_power=power)
+        with pytest.raises(ValueError, match="xi_power must be an integer"):
+            IntegrandSpec(xi_power=power)
 
 
 def test_projective_degree():
@@ -45,6 +50,7 @@ def test_subgraph_loop_number():
     assert subgraph_loop_number(k4, (1, 2, 4)) == 1  # a triangle
     assert subgraph_loop_number(k4, (1, 6)) == 0
     assert subgraph_loop_number(k4, tuple(k4.edge_ids())) == 3
+    assert subgraph_loop_number(k4, (1, 1)) == subgraph_loop_number(k4, (1,)) == 0
     assert subgraph_loop_number(fourgraph, (3, 4)) == 1
 
 

@@ -202,6 +202,23 @@ def test_load_graph_error_paths(tmp_path):
         with pytest.raises(ValueError, match=r"bad edge entry at edges\[1\]"):
             load_graph(str(p))
 
+    for edge, leg, where in (
+        ({"id": 1, "ends": "uv"}, None, r"edges\[0\]: edge 1 needs exactly two endpoints"),
+        ({"id": 1, "ends": ["u", "v"], "mass_sq": True}, None, r"edges\[0\]: edge 1 mass_sq"),
+        ({"ends": ["u", "v"]}, None, r"edges\[0\]: missing 'id'"),
+        ({"id": 1, "ends": ["u", "v"]}, {"vertex": "u", "momentum": "1234"}, r"legs\[0\]"),
+        ({"id": 1, "ends": ["u", "v"]}, {"momentum": [0, 0, 0, 0]}, r"legs\[0\]: missing 'vertex'"),
+    ):
+        p.write_text(json.dumps({"vertices": ["u", "v"], "edges": [edge],
+                                 "legs": [leg] if leg else []}))
+        with pytest.raises(ValueError, match=where):
+            load_graph(str(p))
+
+    with pytest.raises(ValueError, match="edge id must be an integer"):
+        Edge(True, ("u", "v"))
+    with pytest.raises(ValueError, match="4 components"):
+        ExternalLeg("v", "1234")
+
 
 def test_graph_fields_must_be_lists():
     for field, value in (("vertices", "uv"), ("edges", 3), ("legs", {"vertex": "u"})):
