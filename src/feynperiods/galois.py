@@ -70,6 +70,7 @@ class GaloisElement:
 
     def sigma_odd(self, n):
         """The sigma parameter at odd n >= 3 (0 when unset)."""
+        n = _as_int("n", n)
         if n < 3 or n % 2 == 0:
             raise ValueError(f"sigma parameters live at odd n >= 3, got {n}")
         return dict(self.sigma).get(n, Fraction(0))
@@ -88,7 +89,7 @@ class RepMatrix:
 
     def __post_init__(self):
         n = len(self.basis)
-        rows = tuple(tuple(Fraction(x) for x in row) for row in self.entries)
+        rows = tuple(tuple(_as_fraction("matrix entry", x) for x in row) for row in self.entries)
         if len(rows) != n or any(len(r) != n for r in rows):
             raise ValueError("matrix shape must match the basis")
         for i in range(n):

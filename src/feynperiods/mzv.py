@@ -47,9 +47,10 @@ from .polynomials import _as_int
 _PI = Decimal("3.14159265358979323846264338327950288419716939937511")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: True must not hit the entry for 1
 def bernoulli(n):
     """Bernoulli number B_n as an exact Fraction (B_1 = -1/2)."""
+    n = _as_int("n", n)
     if n < 0:
         raise ValueError("Bernoulli numbers need n >= 0")
     if n == 0:

@@ -20,15 +20,16 @@ with one contiguous run of chunks per worker, and the sums come back and
 are reduced in chunk order, so a run is reproducible bit for bit for a
 fixed (samples, seed) pair with any worker count.
 
-A chunk draws its random numbers for all of its rows at once, which keeps
-the stream; everything else runs in blocks of ``_BLOCK`` rows.  A block
-normalizes its rows onto the chart, builds their weights, transposes its
-points into contiguous per-variable columns and evaluates the integrand, so
-the many array passes stay in cache.  Each step in a block works row by row
-(a row's sum or product does not depend on how many rows the array has),
-and the chunk's two sums still run over the whole chunk, so blocking cannot
-change a single bit of the result.  The polynomial evaluator shares the
-partial products of consecutive terms
+Each chart is one generator that draws its chunk's whole stream at once
+and yields it in blocks of ``_BLOCK`` rows: the points mapped onto the
+chart and their weights.  One integrand step serves every chart: it turns
+a block's points into contiguous per-variable columns, multiplies by the
+numerator and divides by each denominator power, so the many array passes
+stay in cache.  Each step in a block works row by row (a row's sum or
+product does not depend on how many rows the array has), and the chunk's
+two sums still run over the whole chunk, so blocking cannot change a
+single bit of the result.  The polynomial evaluator shares the partial
+products of consecutive terms
 (:meth:`~feynperiods.polynomials.SparsePolynomial.evaluate`), which also
 leaves every bit as it was.
 
@@ -83,40 +84,41 @@ class PeriodEstimate:
             raise ValueError("std_error must be nonnegative")
 
 
-def _run_chunk(payload, chunk):
-    """(sum, sum of squares) for one fixed-size sampling chunk."""
-    m = min(_CHUNK, payload["samples"] - chunk * _CHUNK)
-    rng = np.random.default_rng([payload["seed"], chunk])
-    n_vars = payload["n_vars"]
-    b = payload["dirichlet"]
-    simplex = payload["chart"] == "simplex"
-    if simplex:
-        draws = rng.standard_gamma(b, size=(m, n_vars))
-    else:  # affine chart: last variable pinned to 1
-        draws = rng.random(size=(m, n_vars - 1))
-    num = payload["numerator"]
-    vals = np.empty(m)
+def _simplex(rng, m, n, b):
+    """Blocks of Dirichlet(b) points on the simplex and their density-ratio weights."""
+    volume = math.gamma(b) ** n / math.gamma(n * b)
+    draws = rng.standard_gamma(b, size=(m, n))
     for lo in range(0, m, _BLOCK):
-        rows = slice(lo, lo + _BLOCK)
-        d = draws[rows]
-        if simplex:
-            x = d / d.sum(axis=1, keepdims=True)
-            v = np.full(len(d), payload["chart_weight"])
-            if b != 1.0:
-                v *= np.prod(x ** (1.0 - b), axis=1)
-        else:
-            x = np.empty((len(d), n_vars))
-            x[:, :-1] = d / (1.0 - d)
-            x[:, -1] = 1.0
-            v = np.prod(1.0 / (1.0 - d) ** 2, axis=1)
-        cols = dict(zip(payload["edge_ids"], np.ascontiguousarray(x.T)))
-        if num is not None:
-            v = v * num.evaluate(cols)
-        if payload["psi_power"]:
-            v = v / payload["psi"].evaluate(cols) ** payload["psi_power"]
-        if payload["xi_power"]:
-            v = v / payload["xi"].evaluate(cols) ** payload["xi_power"]
-        vals[rows] = v
+        d = draws[lo:lo + _BLOCK]
+        x = d / d.sum(axis=1, keepdims=True)
+        w = np.full(len(d), volume)
+        if b != 1.0:
+            w *= np.prod(x ** (1.0 - b), axis=1)
+        yield x, w
+
+
+def _affine(rng, m, n):
+    """Blocks of affine-chart points (last variable pinned to 1) and their Jacobians."""
+    draws = rng.random(size=(m, n - 1))
+    for lo in range(0, m, _BLOCK):
+        d = draws[lo:lo + _BLOCK]
+        x = np.column_stack((d / (1.0 - d), np.ones(len(d))))
+        yield x, np.prod(1.0 / (1.0 - d) ** 2, axis=1)
+
+
+def _run_chunk(sampler, seed, samples, edge_ids, numerator, denominators, chunk):
+    """(sum, sum of squares) over one chunk of weight * numerator / prod(poly ** power)."""
+    m = min(_CHUNK, samples - chunk * _CHUNK)
+    rng = np.random.default_rng([seed, chunk])
+    blocks = []
+    for x, v in sampler(rng, m, len(edge_ids)):
+        cols = dict(zip(edge_ids, np.ascontiguousarray(x.T)))
+        if numerator is not None:
+            v = v * numerator.evaluate(cols)
+        for poly, power in denominators:
+            v = v / poly.evaluate(cols) ** power
+        blocks.append(v)
+    vals = np.concatenate(blocks)
     return float(vals.sum()), float((vals * vals).sum())
 
 
@@ -179,48 +181,40 @@ def integrate(
         raise ValueError("seed must be >= 0")
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    if chart not in ("simplex", "affine"):
-        raise ValueError(f"unknown chart {chart!r}")
-    if boundary_bias is not None:
-        if chart != "simplex":
-            raise ValueError("boundary_bias applies to the simplex chart only")
-        if isinstance(boundary_bias, bool) or not isinstance(boundary_bias, numbers.Real):
+    if chart == "simplex":
+        b = 1.0 if boundary_bias is None else boundary_bias  # Dirichlet(1) is uniform
+        if isinstance(b, bool) or not isinstance(b, numbers.Real):
             raise ValueError(f"boundary_bias must be a real number, got {boundary_bias!r}")
-        if not 0 < boundary_bias <= 1:
+        if not 0 < b <= 1:
             raise ValueError("boundary_bias must lie in (0, 1]")
+        sampler = functools.partial(_simplex, b=b)
+    elif chart == "affine":
+        if boundary_bias is not None:
+            raise ValueError("boundary_bias applies to the simplex chart only")
+        sampler = _affine
+    else:
+        raise ValueError(f"unknown chart {chart!r}")
     deg = projective_degree(g, spec)
     if deg != 0:
         raise ValueError(f"integrand has projective degree {deg}, must be 0")
-    n_vars = g.n_edges
-    if n_vars < 2:
+    if g.n_edges < 2:
         raise ValueError("need at least two edges to integrate")
-    b = 1.0 if boundary_bias is None else boundary_bias  # Dirichlet(1) is uniform
-    payload = {
-        "seed": seed,
-        "samples": samples,
-        "n_vars": n_vars,
-        "chart": chart,
-        "dirichlet": b,
-        "chart_weight": math.gamma(b) ** n_vars / math.gamma(n_vars * b),
-        "psi_power": spec.psi_power,
-        "xi_power": spec.xi_power,
-        "edge_ids": sorted(g.edge_ids()),
-        "psi": psi_enumerate(g),
-        "xi": None,
-        "numerator": None,
-    }
+    denominators = []
+    if spec.psi_power:
+        denominators.append((psi_enumerate(g), spec.psi_power))
     if spec.xi_power:
         xi_poly = xi(g)
         if xi_poly.is_zero():
             raise ValueError("xi vanishes identically; the integrand is singular")
         if any(c < 0 for c in xi_poly.terms.values()):
             raise ValueError("xi has a negative coefficient; not in the Euclidean region")
-        payload["xi"] = xi_poly
-    if spec.numerator != 1:
-        payload["numerator"] = spec.numerator
+        denominators.append((xi_poly, spec.xi_power))
+    numerator = spec.numerator if spec.numerator != 1 else None
+    run_chunk = functools.partial(
+        _run_chunk, sampler, seed, samples, sorted(g.edge_ids()), numerator, denominators
+    )
 
     n_chunks = -(-samples // _CHUNK)
-    run_chunk = functools.partial(_run_chunk, payload)
     if workers == 1 or n_chunks == 1:
         results = map(run_chunk, range(n_chunks))
     else:

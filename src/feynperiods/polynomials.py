@@ -31,6 +31,8 @@ def _as_int(name, value):
 
     Anything with ``__index__`` counts as an integer, so numpy integers pass.
     """
+    if type(value) is int:  # the common case, and the cheapest test
+        return value
     if not isinstance(value, bool):
         try:
             return operator.index(value)
@@ -78,7 +80,8 @@ class SparsePolynomial:
         clean = {}
         if terms:
             for key, coeff in (terms.items() if isinstance(terms, dict) else terms):
-                key = tuple(sorted((int(v), int(e)) for v, e in key if e))
+                key = [(_as_int("variable", v), _as_int("exponent", e)) for v, e in key]
+                key = tuple(sorted(p for p in key if p[1]))
                 for v, e in key:
                     if v < 1 or e < 0:
                         raise ValueError(f"bad monomial entry ({v}, {e})")
@@ -87,6 +90,7 @@ class SparsePolynomial:
                     for v, e in key:
                         summed[v] = summed.get(v, 0) + e
                     key = tuple(summed.items())
+                coeff = coeff if type(coeff) is int else _as_fraction("coefficient", coeff)
                 coeff = _normalize_coeff(clean.get(key, 0) + coeff)
                 if coeff:
                     clean[key] = coeff
@@ -121,13 +125,10 @@ class SparsePolynomial:
 
     @classmethod
     def constant(cls, c):
-        c = _normalize_coeff(Fraction(c) if not isinstance(c, (int, Fraction)) else c)
-        return cls({(): c} if c else {})
+        return cls({(): c})
 
     @classmethod
     def variable(cls, v):
-        if v < 1:
-            raise ValueError(f"variable index must be >= 1, got {v}")
         return cls({((v, 1),): 1})
 
     @classmethod
@@ -140,7 +141,7 @@ class SparsePolynomial:
     def _lift(self, other):
         if isinstance(other, SparsePolynomial):
             return other
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
             return SparsePolynomial.constant(other)
         return NotImplemented
 
@@ -191,7 +192,8 @@ class SparsePolynomial:
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
+        n = _as_int("power", n)
+        if n < 0:
             raise ValueError("only nonnegative integer powers")
         result = SparsePolynomial.one()
         base = self

@@ -11,8 +11,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from feynperiods.galois import GaloisElement, check_ratio_constraint
+from feynperiods.galois import GaloisElement, RepMatrix, check_ratio_constraint
 from feynperiods.graphs import Edge, ExternalLeg, graph_from_dict
+from feynperiods.polynomials import SparsePolynomial
 
 # (input, value as a rational field, value as an integer field); None means refused
 INPUTS = [
@@ -46,10 +47,16 @@ RATIONAL_FIELDS = {
     "sigma35": lambda v: GaloisElement(sigma35=v).sigma35,
     "c_zeta3_zeta35": lambda v: check_ratio_constraint(v, 1).ratio,
     "c_zeta3_zeta8": lambda v: 1 / check_ratio_constraint(1, v).ratio,
+    # + Fraction(0) reads a stored int as a Fraction and leaves a float a float
+    "coefficient": lambda v: SparsePolynomial({((1, 1),): v}).terms[((1, 1),)] + Fraction(0),
+    "matrix entry": lambda v: RepMatrix(((v,),), ("x",)).entries[0][0],
 }
 INTEGER_FIELDS = {
     "edge id": lambda v: Edge(v, ("u", "v")).id,
     r"edges\[1\]: edge id": _second_edge_id,
+    "variable": lambda v: SparsePolynomial.variable(v).variables()[0],
+    "exponent": lambda v: SparsePolynomial({((1, v),): 1}).total_degree(),
+    "power": lambda v: (SparsePolynomial.variable(1) ** v).total_degree(),
 }
 
 

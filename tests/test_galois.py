@@ -48,6 +48,9 @@ def test_element_validation():
     assert g.sigma == ((3, Fraction(1, 2)),)  # zeros dropped, sorted
     assert g.sigma_odd(5) == 0
     assert g.sigma_odd(3) == Fraction(1, 2)
+    for n in (3.0, True):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            g.sigma_odd(n)
     # a sigma index must be an integer, not a number that truncates to one
     for n in (3.7, 3.0, True, Fraction(3)):
         with pytest.raises(ValueError, match="sigma index must be an integer"):

@@ -66,6 +66,10 @@ def test_bernoulli():
     assert bernoulli(3) == 0
     assert bernoulli(8) == Fraction(-1, 30)
     assert bernoulli(12) == Fraction(-691, 2730)
+    bernoulli(1)  # True must not be served from the cached entry for 1
+    for n in (True, 2.0):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            bernoulli(n)
 
 
 def test_euler_even_zeta_exact_coefficients():
@@ -75,6 +79,8 @@ def test_euler_even_zeta_exact_coefficients():
     assert euler_even_zeta(8)[0] == Fraction(1, 9450)
     with pytest.raises(ValueError):
         euler_even_zeta(3)
+    with pytest.raises(ValueError, match="n must be an integer"):
+        euler_even_zeta(2.0)
 
 
 def test_zeta_against_frozen_values():

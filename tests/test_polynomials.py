@@ -42,6 +42,10 @@ def test_scalar_and_fraction_coefficients():
     assert (Fraction(1, 3) * a1).terms[((1, 1),)] == Fraction(1, 3)
     assert 2 * a1 == a1 * 2 == a1 + a1
     assert 1 - a1 == -(a1 - 1)
+    for scalar in (True, 0.5):  # a bool or a float is not an exact scalar
+        for op in (lambda: a1 + scalar, lambda: scalar * a1):
+            with pytest.raises(TypeError):
+                op()
 
 
 def test_power():
