@@ -15,12 +15,17 @@ JSON output is deterministic: the same argv produces byte-identical bytes.
 
 Exit codes: 0 on success (a FAIL verdict is still a successful run), 1 on
 a computation error such as an unreadable graph file, 2 on usage errors.
+
+The argument parser is built once per process (:func:`build_parser` is
+cached) and reused by every :func:`run`; each call parses its argv into a
+fresh namespace, so no call sees another's arguments.
 """
 
 from __future__ import annotations
 
 import argparse
 import ast
+import functools
 import json
 import math
 import operator
@@ -325,7 +330,9 @@ def _add_integrand_flags(parser):
 _DASH_VALUE = re.compile(r"^-[^-]")
 
 
+@functools.cache
 def build_parser():
+    """The parser of every subcommand; one instance is shared, so only parse with it."""
     parser = argparse.ArgumentParser(
         prog="feynperiods",
         description="Graph polynomials, parametric periods and zeta values.",

@@ -52,7 +52,8 @@ def projective_degree(g, spec):
 
 def subgraph_loop_number(g, gamma):
     """Loop number of the subgraph induced by the edge ids ``gamma``."""
-    edges = [g.edge_by_id(eid) for eid in dict.fromkeys(gamma)]
+    ids = dict.fromkeys(_as_int("edge id", eid) for eid in gamma)
+    edges = [g.edge_by_id(eid) for eid in ids]
     verts = {v for e in edges for v in e.ends}
     comps = len(set(_classes(verts, (e.ends for e in edges)).values()))
     return len(edges) - len(verts) + comps

@@ -13,8 +13,9 @@ Conventions
   an incoming momentum as four exact rational components, with all-Euclidean
   (positive definite) squares.
 * Exact inputs follow one rule (see :func:`polynomials._as_fraction`): an
-  edge id is an integer, and a mass or a momentum component is a Fraction,
-  an integer or a rational string such as ``"3/4"``.  Bools and floats are
+  edge id is an integer, in an :class:`Edge` and in every argument that
+  names edges, and a mass or a momentum component is a Fraction, an
+  integer or a rational string such as ``"3/4"``.  Bools and floats are
   refused.
 * The loop number is E - V + (number of connected components), counting a
   vertex that carries only legs as its own component.
@@ -133,6 +134,7 @@ class FeynmanGraph:
         return tuple(e.id for e in self.edges)
 
     def edge_by_id(self, edge_id):
+        edge_id = _as_int("edge id", edge_id)
         for e in self.edges:
             if e.id == edge_id:
                 return e
@@ -196,7 +198,7 @@ class FeynmanGraph:
         An edge that is already a self-loop of this graph cannot be
         contracted.
         """
-        gamma = set(edge_ids)
+        gamma = {_as_int("edge id", eid) for eid in edge_ids}
         if not gamma:
             return self
         for eid in sorted(gamma):
@@ -221,7 +223,7 @@ class FeynmanGraph:
         are kept as well (they carry the external momentum entering the
         subgraph).
         """
-        gamma = set(edge_ids)
+        gamma = {_as_int("edge id", eid) for eid in edge_ids}
         edges = tuple(e for e in self.edges if e.id in gamma)
         if len(edges) != len(gamma):
             missing = gamma - {e.id for e in edges}

@@ -35,6 +35,7 @@ here.)
 from __future__ import annotations
 
 import math
+import numbers
 from collections import Counter
 from dataclasses import dataclass
 from decimal import Decimal, getcontext, localcontext
@@ -185,10 +186,25 @@ def _mzv_decimal(indices, tol):
     return value, truncation(order) + slack
 
 
-def _digits_to_tol(target_digits):
+def _target_digits(value):
+    """``value`` read by :func:`_as_int`; fewer than one digit is a ValueError."""
+    target_digits = _as_int("target_digits", value)
     if target_digits < 1:
         raise ValueError("target_digits must be >= 1")
-    return Decimal(1).scaleb(-target_digits) / 2
+    return target_digits
+
+
+def _positive_tol(tol):
+    """``tol`` as a positive finite float; it must be a real number or a Decimal, not a bool."""
+    value = math.nan
+    if isinstance(tol, (numbers.Real, Decimal)) and not isinstance(tol, bool):
+        try:
+            value = float(tol)
+        except (OverflowError, ValueError):  # an int past the float range, a signalling NaN
+            pass
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"tol must be a positive finite real number, got {tol!r}")
+    return value
 
 
 def zeta(n, target_digits=12):
@@ -211,8 +227,8 @@ def mzv(indices, target_digits=12):
 
 def mzv_with_error(indices, target_digits=12):
     """(value, certified error bound) as Decimals."""
-    target_digits = _as_int("target_digits", target_digits)
-    tol = _digits_to_tol(target_digits)
+    target_digits = _target_digits(target_digits)
+    tol = Decimal(1).scaleb(-target_digits) / 2
     with localcontext() as ctx:
         ctx.prec = target_digits + 15
         value, bound = _mzv_decimal(indices, tol)
@@ -225,6 +241,7 @@ def stuffle_check(m, n, tol=1e-10):
     The identity is the shuffle of the two defining sums: split the double
     sum over (j, k) into j < k, j > k, and the diagonal j = k.
     """
+    m, n, tol = _as_int("m", m), _as_int("n", n), _positive_tol(tol)
     if m < 2 or n < 2:
         raise ValueError("stuffle check needs both indices >= 2")
     digits = max(6, int(-math.log10(tol)) + 3)
@@ -270,6 +287,7 @@ def iterated_integral_word(indices):
 
 def p35(target_digits=12):
     """The weight-8 combination -(216/5) zeta(3,5) - 81 zeta(5) zeta(3) + (522/5) zeta(8)."""
+    target_digits = _target_digits(target_digits)
     z35, z5, z3, z8 = (
         mzv_with_error(idx, target_digits + 2)[0] for idx in ((3, 5), (5,), (3,), (8,))
     )

@@ -376,6 +376,8 @@ def parse_polynomial(text):
     """Parse the :meth:`SparsePolynomial.render` format back to a polynomial.
 
     Accepts e.g. ``"a1*a3 + a1*a4 + a3*a4"``, ``"2*a1^2 - 1/3*a2"``, ``"0"``.
+    An integral coefficient is read as an int, so integer text never goes
+    through Fraction arithmetic.
     """
     s = text.strip()
     if not s:
@@ -396,15 +398,16 @@ def parse_polynomial(text):
         m = _TERM_RE.match(chunk)
         if not m:
             raise ValueError(f"cannot parse term {chunk!r}")
-        if m.group("coeff") is not None:
+        coeff, mono_text = m.group("coeff"), m.group("tail")
+        if coeff is None:
+            coeff, mono_text = 1, m.group("mono")
+        elif "/" not in coeff:  # integer text stays an int; only a quotient needs a Fraction
+            coeff = int(coeff)
+        else:
             try:
-                coeff = Fraction(m.group("coeff"))
+                coeff = Fraction(coeff)
             except ZeroDivisionError:
                 raise ValueError(f"zero denominator in term {chunk!r}") from None
-            mono_text = m.group("tail")
-        else:
-            coeff = Fraction(1)
-            mono_text = m.group("mono")
         key = []  # a repeated variable is summed by the constructor
         if mono_text:
             for factor in mono_text.split("*"):

@@ -21,7 +21,11 @@ For a connected graph G with edge variables a_e:
       xi_G = phi_G + (sum_e m_e^2 a_e) * psi_G
 
 psi and phi are sums over spanning k-forests (k = 1 and k = 2), and so is
-psi_gamma below; one enumerator produces the forests for every k.  Both
+psi_gamma below; one enumerator produces the forests for every k, and one
+function turns a forest sum into a polynomial by building its canonical
+dict directly: distinct forests have distinct complements, so no key is
+summed and no term needs the validating constructor.  phi squares the
+momentum of each leg partition once, however many forests share it.  Both
 enumeration and a determinant route are provided for psi; they must agree
 exactly.  The determinant route expands the reduced edge-weighted Laplacian
 by cofactors, which needs no division and so never leaves the polynomial
@@ -57,7 +61,7 @@ from itertools import combinations
 from operator import itemgetter
 
 from .graphs import _require_connected
-from .polynomials import SparsePolynomial
+from .polynomials import SparsePolynomial, _as_int, _normalize_coeff
 
 
 # -- spanning forests ------------------------------------------------------
@@ -145,11 +149,22 @@ def spanning_two_forests(g):
 
 
 def _complement_sum(g, forests):
-    """``sum over (edge_ids, c) of c * prod_{e not in edge_ids} a_e``."""
-    all_ids = frozenset(g.edge_ids())
-    return SparsePolynomial(
-        [(tuple((v, 1) for v in sorted(all_ids - set(ids))), c) for ids, c in forests]
-    )
+    """``sum over (edge_ids, c) of c * prod_{e not in edge_ids} a_e``, built in canonical form.
+
+    Each key is the sorted edge ids of ``g`` minus the forest's; :class:`Edge`
+    has already checked the ids, so they are plain ints and the validating
+    constructor has nothing left to check.  A forest with coefficient 0 is
+    dropped, every other coefficient is normalized.
+    """
+    pairs = [(eid, (eid, 1)) for eid in sorted(g.edge_ids())]
+    terms = {}
+    for ids, c in forests:
+        if c:
+            inside = set(ids)
+            # assigned, not summed: distinct forests are distinct edge sets,
+            # so their complements are distinct keys
+            terms[tuple(p for eid, p in pairs if eid not in inside)] = _normalize_coeff(c)
+    return SparsePolynomial.from_canonical(terms)
 
 
 def psi_enumerate(g):
@@ -254,7 +269,10 @@ def phi(g):
     """Momentum polynomial (spanning-2-forest sum with squared momenta).
 
     Requires exact momentum conservation of the external legs.  A graph
-    whose legs all carry zero momentum gets the zero polynomial.
+    whose legs all carry zero momentum gets the zero polynomial.  The legs
+    are summed per vertex once, and each square (q^{T1})^2 is computed once
+    per leg partition: forests whose first tree holds the same leg-carrying
+    vertices share it.
     """
     _require_connected(g, "phi")
     if not g.momentum_conserved():
@@ -264,17 +282,19 @@ def phi(g):
         acc = by_vertex.setdefault(leg.vertex, [Fraction(0)] * 4)
         for i, q in enumerate(leg.momentum):
             acc[i] += q
+    squares = {}  # leg-carrying vertices of T1 -> (q^{T1})^2
     forests = []
     for (edges_a, verts_a), (edges_b, _) in spanning_two_forests(g):
-        total = [Fraction(0)] * 4
-        for v in verts_a:
-            if v in by_vertex:
+        part = tuple(v for v in verts_a if v in by_vertex)
+        coeff = squares.get(part)
+        if coeff is None:
+            total = [Fraction(0)] * 4
+            for v in part:
                 q = by_vertex[v]
                 for i in range(4):
                     total[i] += q[i]
-        coeff = sum(q * q for q in total)
-        if coeff:
-            forests.append((edges_a + edges_b, coeff))
+            coeff = squares[part] = sum(q * q for q in total)
+        forests.append((edges_a + edges_b, coeff))
     return _complement_sum(g, forests)
 
 
@@ -329,7 +349,7 @@ class Factorization:
 
 
 def _check_gamma(g, gamma):
-    gamma = tuple(sorted(set(gamma)))
+    gamma = tuple(sorted({_as_int("edge id", eid) for eid in gamma}))
     ids = set(g.edge_ids())
     for eid in gamma:
         if eid not in ids:

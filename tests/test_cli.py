@@ -357,3 +357,21 @@ def test_json_inputs_echo_parsed_arguments(capsys, argv):
     for key in ("command", "galois_command", "func", "json"):
         parsed.pop(key, None)
     assert json.loads(out)["inputs"] == parsed
+
+
+def test_cached_parser_leaks_no_state(capsys):
+    # one parser serves every run of a process; no run may see another's arguments
+    assert build_parser() is build_parser()
+    code, out, _ = invoke(capsys, "galois", "rep", "zeta35", "--sigma", "3=2", "--json")
+    assert code == 0 and json.loads(out)["inputs"]["sigma"] == ["3=2"]
+    code, out, _ = invoke(capsys, "galois", "rep", "zeta35", "--json")
+    assert code == 0 and json.loads(out)["inputs"]["sigma"] == []
+    for _ in range(2):
+        code, out, _ = invoke(capsys, "--help")
+        assert code == 0 and out.startswith("usage: feynperiods")
+    assert invoke(capsys, "zeta", "3,5", "--digits")[0] == 2
+    (zeta_value,) = [case for case in PINNED if case.id == "zeta-value"]
+    argv, _, doc = zeta_value.values
+    code, out, err = invoke(capsys, *argv, "--json")
+    assert code == 0 and err == ""
+    assert {key: json.loads(out)[key] for key in doc} == doc

@@ -11,9 +11,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from feynperiods.divergence import subgraph_loop_number
 from feynperiods.galois import GaloisElement, RepMatrix, check_ratio_constraint
-from feynperiods.graphs import Edge, ExternalLeg, graph_from_dict
+from feynperiods.graphs import Edge, ExternalLeg, graph_from_dict, load_graph
 from feynperiods.polynomials import SparsePolynomial
+from feynperiods.symanzik import partial_factor_psi, psi_subgraph
 
 # (input, value as a rational field, value as an integer field); None means refused
 INPUTS = [
@@ -73,3 +75,31 @@ def test_one_policy_for_exact_inputs(value, rational, integer):
             else:
                 got = call(value)
                 assert got == expected and type(got) is type(expected), field
+
+
+# arguments that name edges, each given edge 2 of K4 (in a subgraph, with
+# edge 3); an id the policy accepts must act as the plain int 2
+EDGE_ID_ARGUMENTS = {
+    "partial_factor_psi": lambda g, v: partial_factor_psi(g, (v, 3)),
+    "psi_subgraph": lambda g, v: psi_subgraph(g, (v, 3)),
+    "subgraph_loop_number": lambda g, v: subgraph_loop_number(g, (v, 3)),
+    "edge_by_id": lambda g, v: g.edge_by_id(v),
+    "delete_edge": lambda g, v: g.delete_edge(v),
+    "contract_subgraph": lambda g, v: g.contract_subgraph((v, 3)),
+    "induced_subgraph": lambda g, v: g.induced_subgraph((v, 3)),
+}
+# a bool or an integral float compares equal to an edge id and is still refused
+EDGE_ID_INPUTS = [(value, integer) for value, _, integer in INPUTS] + [(1.0, None), (2.0, None)]
+
+
+@pytest.mark.parametrize(
+    "value, integer", EDGE_ID_INPUTS, ids=[repr(v) for v, _ in EDGE_ID_INPUTS]
+)
+def test_edge_id_arguments_follow_the_policy(value, integer):
+    k4 = load_graph("fixtures/k4.json")
+    for name, call in EDGE_ID_ARGUMENTS.items():
+        if integer is None:
+            with pytest.raises(ValueError, match="edge id must be an integer"):
+                call(k4, value)
+        else:
+            assert call(k4, value) == call(k4, 2), name

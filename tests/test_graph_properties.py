@@ -11,18 +11,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from feynperiods.divergence import subgraph_loop_number
-from feynperiods.graphs import Edge, FeynmanGraph
+from feynperiods.graphs import Edge, ExternalLeg, FeynmanGraph
 from feynperiods.polynomials import SparsePolynomial, _term_sort_key, parse_polynomial
 from feynperiods.symanzik import (
     Factorization,
     _check_gamma,
     _cofactor_determinant,
+    _spanning_forests,
+    mass_term,
     partial_factor_psi,
+    phi,
     psi_determinant,
     psi_enumerate,
     psi_subgraph,
     spanning_trees,
     spanning_two_forests,
+    xi,
 )
 
 NAMES = ("u", "b", "x2", "a", "x10", "q")
@@ -181,6 +185,90 @@ def test_split_matches_key_filter_oracle_past_64_edges(data):
     edge = st.sampled_from(sorted(ids))
     gammas = data.draw(st.lists(st.lists(edge, max_size=len(ids)), min_size=1, max_size=20))
     assert_split_matches_oracle(g, gammas + [list(ids), [len(ids) + 1, *ids[:2]]])
+
+
+@st.composite
+def decorated_multigraphs(draw):
+    """Connected multigraphs with masses and legs whose rational momenta sum to zero.
+
+    The last leg balances the others; about one graph in five carries legs
+    with all-zero momenta.
+    """
+    g = draw(connected_multigraphs())
+    rational = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    edges = tuple(
+        Edge(e.id, e.ends, draw(st.just(0) | rational.map(abs))) for e in g.edges
+    )
+    momenta = draw(st.lists(st.lists(rational, min_size=4, max_size=4), max_size=3))
+    if draw(st.integers(0, 4)) == 0:
+        momenta = [[0] * 4 for _ in momenta]
+    if momenta:
+        momenta.append([-sum(q[i] for q in momenta) for i in range(4)])
+    vertex = st.sampled_from(g.vertices)
+    legs = tuple(ExternalLeg(draw(vertex), q) for q in momenta)
+    return FeynmanGraph(vertices=g.vertices, edges=edges, legs=legs)
+
+
+def complement_sum_oracle(g, forests):
+    """``sum over (edge_ids, c) of c * prod_{e not in edge_ids} a_e``, through the constructor."""
+    all_ids = frozenset(g.edge_ids())
+    return SparsePolynomial(
+        [(tuple((v, 1) for v in sorted(all_ids - set(ids))), c) for ids, c in forests]
+    )
+
+
+def psi_determinant_oracle(g):
+    """Complements of the Kirchhoff determinant's terms, with no memo."""
+    order = sorted(g.vertices)
+    size = len(order) - 1
+    lap = [[SparsePolynomial.zero() for _ in range(size)] for _ in range(size)]
+    for e in g.edges:
+        i, j = (order.index(v) for v in e.ends)
+        if i == j:
+            continue
+        var = SparsePolynomial.variable(e.id)
+        for a, b, sign in ((i, i, 1), (j, j, 1), (i, j, -1), (j, i, -1)):
+            if a < size and b < size:
+                lap[a][b] = lap[a][b] + sign * var
+    kirchhoff = _cofactor_determinant(lap)
+    return complement_sum_oracle(g, [([v for v, _ in key], c) for key, c in kirchhoff.terms.items()])
+
+
+def phi_oracle(g):
+    """(q^{T1})^2 summed from the legs afresh for every 2-forest."""
+    forests = []
+    for (edges_a, verts_a), (edges_b, _) in spanning_two_forests(g):
+        total = [Fraction(0)] * 4
+        for leg in g.legs:
+            if leg.vertex in verts_a:
+                for i, q in enumerate(leg.momentum):
+                    total[i] += q
+        forests.append((edges_a + edges_b, sum(q * q for q in total)))
+    return complement_sum_oracle(g, forests)
+
+
+def exact_terms(p):
+    """Keys and coefficients in stored order, with each coefficient's type."""
+    return [(key, c, type(c)) for key, c in p.terms.items()]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), g=decorated_multigraphs())
+def test_polynomials_match_constructor_oracle_in_order_and_type(data, g):
+    trees = [(ids, 1) for ids in spanning_trees(g)]
+    psi = complement_sum_oracle(g, trees)
+    assert exact_terms(psi_enumerate(g)) == exact_terms(psi)
+    assert exact_terms(psi_determinant(g)) == exact_terms(psi_determinant_oracle(g))
+    want_phi = phi_oracle(g)
+    assert exact_terms(phi(g)) == exact_terms(want_phi)
+    assert exact_terms(xi(g)) == exact_terms(want_phi + mass_term(g) * psi)
+    ids = g.edge_ids()
+    if ids:
+        gamma = data.draw(st.lists(st.sampled_from(ids), min_size=1, unique=True))
+        sub = g.induced_subgraph(gamma)
+        forests = _spanning_forests(sub, len(sub.components()))
+        want = complement_sum_oracle(sub, ((f, 1) for f, _ in forests))
+        assert exact_terms(psi_subgraph(g, gamma)) == exact_terms(want)
 
 
 @settings(max_examples=150, deadline=None)

@@ -216,3 +216,24 @@ def test_p35_value():
     assert p35(14) == pytest.approx(P35, abs=1e-13)
     assert p35_period(14) == pytest.approx(P35_PERIOD, abs=1e-11)
     assert p35_period(12) == pytest.approx(32 * p35(12), abs=1e-12)
+
+
+def test_p35_and_stuffle_check_refuse_inexact_inputs():
+    # target_digits follows mzv_with_error: an integer, at least 1
+    for call in (p35, p35_period):
+        for digits in (True, 12.0, "12"):
+            with pytest.raises(ValueError, match="target_digits must be an integer"):
+                call(digits)
+        for digits in (0, -1):
+            with pytest.raises(ValueError, match="target_digits must be >= 1"):
+                call(digits)
+    assert p35(np.int64(12)) == p35(12)
+    for m, n in ((True, 3), (2, 3.0), (2.5, 3)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            stuffle_check(m, n)
+    refused = (True, 0.0, -1e-10, math.inf, math.nan, 10**400, "1e-10", None, Decimal("sNaN"))
+    for tol in refused:
+        with pytest.raises(ValueError, match="tol must be"):
+            stuffle_check(2, 3, tol=tol)
+    assert stuffle_check(np.int64(2), 3, tol=Fraction(1, 10**9))
+    assert stuffle_check(2, 3, tol=Decimal("1e-10"))
