@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .graphs import _classes, _require_connected
+from .graphs import _classes, _edge_set, _require_connected
 from .polynomials import SparsePolynomial, _as_int
 
 
@@ -52,8 +52,8 @@ def projective_degree(g, spec):
 
 def subgraph_loop_number(g, gamma):
     """Loop number of the subgraph induced by the edge ids ``gamma``."""
-    ids = dict.fromkeys(_as_int("edge id", eid) for eid in gamma)
-    edges = [g.edge_by_id(eid) for eid in ids]
+    ids = set(_edge_set(g, gamma))
+    edges = [e for e in g.edges if e.id in ids]
     verts = {v for e in edges for v in e.ends}
     comps = len(set(_classes(verts, (e.ends for e in edges)).values()))
     return len(edges) - len(verts) + comps

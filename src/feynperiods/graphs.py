@@ -13,10 +13,11 @@ Conventions
   an incoming momentum as four exact rational components, with all-Euclidean
   (positive definite) squares.
 * Exact inputs follow one rule (see :func:`polynomials._as_fraction`): an
-  edge id is an integer, in an :class:`Edge` and in every argument that
-  names edges, and a mass or a momentum component is a Fraction, an
-  integer or a rational string such as ``"3/4"``.  Bools and floats are
-  refused.
+  edge id is an integer, and a mass or a momentum component is a Fraction,
+  an integer or a rational string such as ``"3/4"``.  Bools and floats are
+  refused.  Every argument that names edges is read by :func:`_edge_set`:
+  ids must be integers, duplicates collapse and ids are sorted; the smallest
+  unknown id is named first, and self-loop refusals come after unknown ids.
 * The loop number is E - V + (number of connected components), counting a
   vertex that carries only legs as its own component.
 
@@ -52,6 +53,15 @@ def _classes(vertices, pairs):
     for v in sorted(parent):
         parent[v] = parent[parent[v]]
     return parent
+
+
+def _edge_set(g, edge_ids):
+    """The distinct ids of ``edge_ids``, sorted; the smallest unknown id is an error."""
+    ids = {_as_int("edge id", eid) for eid in edge_ids}
+    unknown = ids.difference(g.edge_ids())
+    if unknown:
+        raise ValueError(f"no edge with id {min(unknown)}")
+    return tuple(sorted(ids))
 
 
 def _require_connected(g, what):
@@ -134,11 +144,8 @@ class FeynmanGraph:
         return tuple(e.id for e in self.edges)
 
     def edge_by_id(self, edge_id):
-        edge_id = _as_int("edge id", edge_id)
-        for e in self.edges:
-            if e.id == edge_id:
-                return e
-        raise ValueError(f"no edge with id {edge_id}")
+        [edge_id] = _edge_set(self, (edge_id,))
+        return next(e for e in self.edges if e.id == edge_id)
 
     def components(self):
         """Connected components of the internal-edge graph, as sorted vertex tuples.
@@ -179,7 +186,7 @@ class FeynmanGraph:
 
     def delete_edge(self, edge_id):
         """The graph minus one internal edge; vertices and legs are untouched."""
-        self.edge_by_id(edge_id)
+        [edge_id] = _edge_set(self, (edge_id,))
         return FeynmanGraph(
             vertices=self.vertices,
             edges=tuple(e for e in self.edges if e.id != edge_id),
@@ -198,13 +205,12 @@ class FeynmanGraph:
         An edge that is already a self-loop of this graph cannot be
         contracted.
         """
-        gamma = {_as_int("edge id", eid) for eid in edge_ids}
+        gamma = set(_edge_set(self, edge_ids))
         if not gamma:
             return self
-        for eid in sorted(gamma):
-            e = self.edge_by_id(eid)
-            if e.is_loop:
-                raise ValueError(f"cannot contract self-loop edge {eid}")
+        looped = [e.id for e in self.edges if e.id in gamma and e.is_loop]
+        if looped:
+            raise ValueError(f"cannot contract self-loop edge {min(looped)}")
         rep = _classes(self.vertices, (e.ends for e in self.edges if e.id in gamma))
         return FeynmanGraph(
             vertices=tuple(sorted({rep[v] for v in self.vertices})),
@@ -223,11 +229,8 @@ class FeynmanGraph:
         are kept as well (they carry the external momentum entering the
         subgraph).
         """
-        gamma = {_as_int("edge id", eid) for eid in edge_ids}
+        gamma = set(_edge_set(self, edge_ids))
         edges = tuple(e for e in self.edges if e.id in gamma)
-        if len(edges) != len(gamma):
-            missing = gamma - {e.id for e in edges}
-            raise ValueError(f"no edge with id {min(missing)}")
         vs = sorted({v for e in edges for v in e.ends})
         return FeynmanGraph(
             vertices=tuple(vs),

@@ -63,6 +63,20 @@ _CHUNK = 1 << 18
 _BLOCK = 1 << 14
 
 
+def _run_parameters(samples, seed, workers):
+    """``samples``, ``seed`` and ``workers`` as ints, with at least 2 samples and 1 worker."""
+    samples = _as_int("samples", samples)
+    seed = _as_int("seed", seed)
+    workers = _as_int("workers", workers)
+    if samples < 2:
+        raise ValueError("need at least 2 samples")
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    return samples, seed, workers
+
+
 @dataclass(frozen=True)
 class PeriodEstimate:
     """Monte Carlo estimate with its standard error and provenance."""
@@ -74,8 +88,9 @@ class PeriodEstimate:
     workers: int = 1
 
     def __post_init__(self):
-        if self.samples <= 0:
-            raise ValueError("samples must be positive")
+        run = _run_parameters(self.samples, self.seed, self.workers)
+        for name, value in zip(("samples", "seed", "workers"), run):
+            object.__setattr__(self, name, value)
         if not (math.isfinite(self.value) and math.isfinite(self.std_error)):
             raise ValueError(
                 f"value and std_error must be finite, got {self.value} +- {self.std_error}"
@@ -172,15 +187,7 @@ def integrate(
     reported standard error is the usual sample estimate.
     """
     spec = spec if spec is not None else IntegrandSpec()
-    samples = _as_int("samples", samples)
-    seed = _as_int("seed", seed)
-    workers = _as_int("workers", workers)
-    if samples < 2:
-        raise ValueError("need at least 2 samples")
-    if seed < 0:
-        raise ValueError("seed must be >= 0")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
+    samples, seed, workers = _run_parameters(samples, seed, workers)
     if chart == "simplex":
         b = 1.0 if boundary_bias is None else boundary_bias  # Dirichlet(1) is uniform
         if isinstance(b, bool) or not isinstance(b, numbers.Real):

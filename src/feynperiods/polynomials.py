@@ -74,7 +74,7 @@ def _term_sort_key(key: MonomialKey):
 class SparsePolynomial:
     """Immutable sparse polynomial in variables a1, a2, ... over the rationals."""
 
-    __slots__ = ("terms", "_hash")
+    __slots__ = ("terms",)
 
     def __init__(self, terms=None):
         clean = {}
@@ -97,7 +97,6 @@ class SparsePolynomial:
                 elif key in clean:
                     del clean[key]
         object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("SparsePolynomial is immutable")
@@ -112,7 +111,6 @@ class SparsePolynomial:
         """Wrap a dict already in canonical form (sorted keys, nonzero normalized coefficients)."""
         out = cls.__new__(cls)
         object.__setattr__(out, "terms", terms)
-        object.__setattr__(out, "_hash", None)
         return out
 
     @classmethod
@@ -180,14 +178,12 @@ class SparsePolynomial:
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():
                 key = _merge_keys(k1, k2)
-                s = terms.get(key, 0) + c1 * c2
+                s = _normalize_coeff(terms.get(key, 0) + c1 * c2)
                 if s:
                     terms[key] = s
                 elif key in terms:
                     del terms[key]
-        return SparsePolynomial.from_canonical(
-            {k: _normalize_coeff(c) for k, c in terms.items() if c}
-        )
+        return SparsePolynomial.from_canonical(terms)
 
     __rmul__ = __mul__
 
@@ -211,11 +207,7 @@ class SparsePolynomial:
         return self.terms == other.terms
 
     def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash(tuple(sorted((k, Fraction(c)) for k, c in self.terms.items())))
-            object.__setattr__(self, "_hash", h)
-        return h
+        return hash(frozenset(self.terms.items()))
 
     def __bool__(self):
         return bool(self.terms)

@@ -60,8 +60,8 @@ from fractions import Fraction
 from itertools import combinations
 from operator import itemgetter
 
-from .graphs import _require_connected
-from .polynomials import SparsePolynomial, _as_int, _normalize_coeff
+from .graphs import _edge_set, _require_connected
+from .polynomials import SparsePolynomial, _normalize_coeff
 
 
 # -- spanning forests ------------------------------------------------------
@@ -349,14 +349,10 @@ class Factorization:
 
 
 def _check_gamma(g, gamma):
-    gamma = tuple(sorted({_as_int("edge id", eid) for eid in gamma}))
-    ids = set(g.edge_ids())
-    for eid in gamma:
-        if eid not in ids:
-            raise ValueError(f"no edge with id {eid}")
+    gamma = _edge_set(g, gamma)
     if not gamma:
         raise ValueError("subgraph must contain at least one edge")
-    if len(gamma) == len(ids):
+    if len(gamma) == g.n_edges:
         raise ValueError("subgraph must be proper")
     return gamma
 

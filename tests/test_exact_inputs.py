@@ -13,9 +13,14 @@ import pytest
 
 from feynperiods.divergence import subgraph_loop_number
 from feynperiods.galois import GaloisElement, RepMatrix, check_ratio_constraint
-from feynperiods.graphs import Edge, ExternalLeg, graph_from_dict, load_graph
+from feynperiods.graphs import Edge, ExternalLeg, FeynmanGraph, graph_from_dict, load_graph
 from feynperiods.polynomials import SparsePolynomial
-from feynperiods.symanzik import partial_factor_psi, psi_subgraph
+from feynperiods.symanzik import (
+    partial_factor_psi,
+    psi_subgraph,
+    xi_partial_factor_ir,
+    xi_partial_factor_uv,
+)
 
 # (input, value as a rational field, value as an integer field); None means refused
 INPUTS = [
@@ -77,29 +82,52 @@ def test_one_policy_for_exact_inputs(value, rational, integer):
                 assert got == expected and type(got) is type(expected), field
 
 
-# arguments that name edges, each given edge 2 of K4 (in a subgraph, with
-# edge 3); an id the policy accepts must act as the plain int 2
+# arguments that name edges, each given a pair of ids (a subgraph) or, where
+# the argument names one edge, the last id of the pair
 EDGE_ID_ARGUMENTS = {
-    "partial_factor_psi": lambda g, v: partial_factor_psi(g, (v, 3)),
-    "psi_subgraph": lambda g, v: psi_subgraph(g, (v, 3)),
-    "subgraph_loop_number": lambda g, v: subgraph_loop_number(g, (v, 3)),
-    "edge_by_id": lambda g, v: g.edge_by_id(v),
-    "delete_edge": lambda g, v: g.delete_edge(v),
-    "contract_subgraph": lambda g, v: g.contract_subgraph((v, 3)),
-    "induced_subgraph": lambda g, v: g.induced_subgraph((v, 3)),
+    "partial_factor_psi": partial_factor_psi,
+    "xi_partial_factor_uv": xi_partial_factor_uv,
+    "xi_partial_factor_ir": xi_partial_factor_ir,
+    "psi_subgraph": psi_subgraph,
+    "subgraph_loop_number": subgraph_loop_number,
+    "edge_by_id": lambda g, ids: g.edge_by_id(ids[-1]),
+    "delete_edge": lambda g, ids: g.delete_edge(ids[-1]),
+    "contract_subgraph": FeynmanGraph.contract_subgraph,
+    "induced_subgraph": FeynmanGraph.induced_subgraph,
 }
-# a bool or an integral float compares equal to an edge id and is still refused
-EDGE_ID_INPUTS = [(value, integer) for value, _, integer in INPUTS] + [(1.0, None), (2.0, None)]
+# edge 2 of K4, with edge 3: an id the policy accepts must act as the plain
+# int 2; a bool or an integral float compares equal to an edge id and is
+# still refused
+EDGE_ID_INPUTS = [("k4", value, integer) for value, _, integer in INPUTS] + [
+    ("k4", 1.0, None),
+    ("k4", 2.0, None),
+]
+# unknown ids: the smallest is named first, whatever the input order, and
+# before a self-loop (edge 2 of the looped graph) is refused
+EDGE_ID_INPUTS += [("k4", (9, 8), "no edge with id 8$"), ("looped", (2, 9), "no edge with id 9$")]
+GRAPHS = {
+    "k4": lambda: load_graph("fixtures/k4.json"),
+    "looped": lambda: FeynmanGraph(
+        vertices=("u", "v"),
+        edges=(Edge(1, ("u", "v")), Edge(2, ("v", "v")), Edge(3, ("u", "u")), Edge(4, ("u", "v"))),
+    ),
+}
 
 
 @pytest.mark.parametrize(
-    "value, integer", EDGE_ID_INPUTS, ids=[repr(v) for v, _ in EDGE_ID_INPUTS]
+    "graph, value, integer",
+    EDGE_ID_INPUTS,
+    ids=[repr(v) for _, v, _ in EDGE_ID_INPUTS],
 )
-def test_edge_id_arguments_follow_the_policy(value, integer):
-    k4 = load_graph("fixtures/k4.json")
+def test_edge_id_arguments_follow_the_policy(graph, value, integer):
+    g = GRAPHS[graph]()
+    ids = value if isinstance(value, tuple) else (3, value)
     for name, call in EDGE_ID_ARGUMENTS.items():
         if integer is None:
             with pytest.raises(ValueError, match="edge id must be an integer"):
-                call(k4, value)
+                call(g, ids)
+        elif isinstance(integer, str):
+            with pytest.raises(ValueError, match=integer):
+                call(g, ids)
         else:
-            assert call(k4, value) == call(k4, 2), name
+            assert call(g, ids) == call(g, (3, 2)), name

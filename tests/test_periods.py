@@ -251,6 +251,17 @@ def test_period_estimate_validation():
     for value, std_error in ((math.nan, 0.0), (1.0, math.nan), (math.inf, 1.0), (1.0, math.inf)):
         with pytest.raises(ValueError, match="finite"):
             PeriodEstimate(value=value, std_error=std_error, samples=10, seed=0)
+    # the run parameters that integrate refuses
+    for run, message in (
+        ({"samples": True}, "samples must be an integer"),
+        ({"samples": 2.5}, "samples must be an integer"),
+        ({"samples": 1}, "need at least 2 samples"),
+        ({"seed": -1}, "seed must be >= 0"),
+        ({"seed": 0.5}, "seed must be an integer"),
+        ({"workers": 0}, "workers must be >= 1"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            PeriodEstimate(**{"value": 1.0, "std_error": 0.1, "samples": 10, "seed": 0, **run})
 
 
 def test_g_minus_2_closed_form():
