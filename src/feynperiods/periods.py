@@ -21,15 +21,19 @@ are reduced in chunk order, so a run is reproducible bit for bit for a
 fixed (samples, seed) pair with any worker count.
 
 Each chart is one generator that draws its chunk's whole stream at once
-and yields it in blocks of ``_BLOCK`` rows: the points mapped onto the
-chart and their weights.  One integrand step serves every chart: it turns
-a block's points into contiguous per-variable columns, multiplies by the
-numerator and divides by each denominator power, so the many array passes
-stay in cache.  Each step in a block works row by row (a row's sum or
-product does not depend on how many rows the array has), and the chunk's
-two sums still run over the whole chunk, so blocking cannot change a
-single bit of the result.  The polynomial evaluator shares the partial
-products of consecutive terms
+and yields it in blocks of ``_BLOCK`` rows, transposed once into
+per-variable columns of shape (n, rows), together with their weights.  One
+integrand step serves every chart: it multiplies the weights by the
+numerator and divides them by each denominator power in place, and writes
+the block into the chunk's one vector, so the many array passes stay in
+cache.  A reduction across the variables is a vector pass over whole
+columns in the order numpy takes along a row: the simplex normalisation
+adds the columns in numpy's pairwise order (``_row_sums``), and the
+Dirichlet density ratio and the affine Jacobian multiply them left to
+right, as ``np.prod`` does.  Every other step is elementwise, and the
+chunk's two sums still run over the whole chunk, so neither the blocks nor
+the column layout can change a single bit of the result.  The polynomial
+evaluator shares the partial products of consecutive terms
 (:meth:`~feynperiods.polynomials.SparsePolynomial.evaluate`), which also
 leaves every bit as it was.
 
@@ -99,41 +103,76 @@ class PeriodEstimate:
             raise ValueError("std_error must be nonnegative")
 
 
+def _row_sums(cols):
+    """Sums over the first axis of ``cols``, equal bit for bit to ``cols.T.sum(axis=1)``.
+
+    numpy sums each row pairwise: below 8 entries left to right; up to 128
+    in eight running accumulators, combined as
+    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the leftover entries one at a
+    time; beyond 128 as the sum of two halves, the first cut down to a
+    multiple of 8.  It adds that sum to 0.0, which turns -0.0 into 0.0;
+    starting each accumulator from its first entry plus 0.0 gives the same
+    bits.  Here each of these steps is one vector pass over whole columns.
+    """
+    n = len(cols)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _row_sums(cols[:half]) + _row_sums(cols[half:])
+    if n < 8:
+        s = cols[0] + 0.0
+        for c in cols[1:]:
+            s += c
+        return s
+    r = cols[:8] + 0.0
+    for i in range(8, n - n % 8, 8):
+        r += cols[i:i + 8]
+    s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for c in cols[n - n % 8:]:
+        s += c
+    return s
+
+
 def _simplex(rng, m, n, b):
-    """Blocks of Dirichlet(b) points on the simplex and their density-ratio weights."""
+    """Blocks of Dirichlet(b) points on the simplex, as (n, rows) columns, and their weights."""
     volume = math.gamma(b) ** n / math.gamma(n * b)
     draws = rng.standard_gamma(b, size=(m, n))
     for lo in range(0, m, _BLOCK):
-        d = draws[lo:lo + _BLOCK]
-        x = d / d.sum(axis=1, keepdims=True)
-        w = np.full(len(d), volume)
-        if b != 1.0:
-            w *= np.prod(x ** (1.0 - b), axis=1)
+        x = draws[lo:lo + _BLOCK].T.copy()
+        x /= _row_sums(x)
+        if b == 1.0:
+            w = np.full(x.shape[1], volume)
+        else:
+            w = np.prod(x ** (1.0 - b), axis=0)  # left to right, as along a row
+            w *= volume
         yield x, w
 
 
 def _affine(rng, m, n):
-    """Blocks of affine-chart points (last variable pinned to 1) and their Jacobians."""
+    """Blocks of affine-chart points as (n, rows) columns (the last is 1) and their Jacobians."""
     draws = rng.random(size=(m, n - 1))
     for lo in range(0, m, _BLOCK):
         d = draws[lo:lo + _BLOCK]
-        x = np.column_stack((d / (1.0 - d), np.ones(len(d))))
-        yield x, np.prod(1.0 / (1.0 - d) ** 2, axis=1)
+        x = np.ones((n, len(d)))
+        x[:-1] = d.T
+        u = 1.0 - x[:-1]
+        x[:-1] /= u
+        yield x, np.prod(1.0 / u ** 2, axis=0)
 
 
 def _run_chunk(sampler, seed, samples, edge_ids, numerator, denominators, chunk):
     """(sum, sum of squares) over one chunk of weight * numerator / prod(poly ** power)."""
     m = min(_CHUNK, samples - chunk * _CHUNK)
     rng = np.random.default_rng([seed, chunk])
-    blocks = []
-    for x, v in sampler(rng, m, len(edge_ids)):
-        cols = dict(zip(edge_ids, np.ascontiguousarray(x.T)))
+    vals = np.empty(m)
+    lo = 0
+    for x, w in sampler(rng, m, len(edge_ids)):
+        cols = dict(zip(edge_ids, x))
         if numerator is not None:
-            v = v * numerator.evaluate(cols)
+            w *= numerator.evaluate(cols)
         for poly, power in denominators:
-            v = v / poly.evaluate(cols) ** power
-        blocks.append(v)
-    vals = np.concatenate(blocks)
+            w /= poly.evaluate(cols) ** power
+        vals[lo:lo + len(w)] = w
+        lo += len(w)
     return float(vals.sum()), float((vals * vals).sum())
 
 

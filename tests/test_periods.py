@@ -6,7 +6,7 @@ from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from feynperiods import periods
@@ -91,18 +91,74 @@ GOLDEN_NUMERATOR = IntegrandSpec(
         ),
         ("banana", MASSIVE_SPEC, {}, "0.8609072548564936", "0.00010327697316276544"),
         ("k4", GOLDEN_NUMERATOR, {"boundary_bias": 0.5}, "932.621065540807", "286.5601314960576"),
+        # 8 variables: the normalising row sum takes numpy's eight-accumulator branch
+        ("wheel4", None, {"boundary_bias": 0.5}, "21.788702963102715", "1.1503290594625264"),
+        # the Jacobian multiplies 5 columns
+        ("k4", None, {"chart": "affine"}, "7.3457062311012775", "0.2774633805199603"),
     ],
     ids=[
         "simplex-uniform", "simplex-dirichlet", "simplex-dirichlet-1", "affine-xi", "simplex-xi",
-        "numerator",
+        "numerator", "wheel4-dirichlet", "affine-k4",
     ],
 )
 def test_seeded_bits_are_pinned(graph, spec, kwargs, value, std_error):
     # a change to the draws, the weights, the integrand's arithmetic or the
     # order of the sums moves these bits
-    g = load_graph("fixtures/k4.json") if graph == "k4" else banana(1)
+    g = banana(1) if graph == "banana" else load_graph(f"fixtures/{graph}.json")
     est = integrate(g, spec, samples=GOLDEN_SAMPLES, seed=20261018, **kwargs)
     assert (repr(est.value), repr(est.std_error)) == (value, std_error)
+
+
+def _bits(a):
+    return a.view(np.int64)
+
+
+def test_row_sums_match_numpy_bit_for_bit():
+    # every width through numpy's three branches (< 8, 8 to 128, halves
+    # beyond), on rows that mix magnitudes from 1e-300 to 1e300, signs and
+    # signed zeros
+    rng = np.random.default_rng(20261019)
+    for n in range(1, 301):
+        d = 10.0 ** rng.uniform(-300, 300, size=(40, n))
+        d[20:] *= rng.choice([-1.0, 1.0], size=(20, n))
+        d[30:] *= rng.random(size=(10, n)) < 0.5
+        d[39] = -0.0
+        got = periods._row_sums(np.ascontiguousarray(d.T))
+        assert np.array_equal(_bits(got), _bits(d.sum(axis=1))), n
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.integers(2, 12),
+    m=st.integers(1, 2 * _BLOCK + 3),
+    b=st.one_of(st.just(1.0), st.floats(0.05, 1.0)),
+    seed=st.integers(0, 2**32),
+)
+@example(n=8, m=_BLOCK + 1, b=0.5, seed=0)
+@example(n=10, m=2 * _BLOCK + 3, b=0.3, seed=1)
+def test_column_blocks_match_row_wise_oracle(n, m, b, seed):
+    # the charts' columns and weights, against the row-wise computation on
+    # the same draws
+    def stacked(blocks):
+        points, weights = zip(*blocks)
+        for x in points:
+            assert x.shape[0] == n and x.flags.c_contiguous
+        return np.concatenate(points, axis=1).T, np.concatenate(weights)
+
+    draws = np.random.default_rng(seed).standard_gamma(b, size=(m, n))
+    x = draws / draws.sum(axis=1, keepdims=True)
+    volume = math.gamma(b) ** n / math.gamma(n * b)
+    w = volume * np.prod(x ** (1 - b), axis=1)
+    got_x, got_w = stacked(periods._simplex(np.random.default_rng(seed), m, n, b))
+    assert np.array_equal(_bits(got_x), _bits(x))
+    assert np.array_equal(_bits(got_w), _bits(w))
+
+    d = np.random.default_rng(seed).random(size=(m, n - 1))
+    x = np.column_stack((d / (1.0 - d), np.ones(m)))
+    jacobian = np.prod(1.0 / (1.0 - d) ** 2, axis=1)
+    got_x, got_w = stacked(periods._affine(np.random.default_rng(seed), m, n))
+    assert np.array_equal(_bits(got_x), _bits(x))
+    assert np.array_equal(_bits(got_w), _bits(jacobian))
 
 
 @settings(max_examples=8, deadline=None)
