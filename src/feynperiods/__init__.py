@@ -2,6 +2,7 @@
 
 from .divergence import (
     IntegrandSpec,
+    convergence,
     is_phi4,
     is_primitive,
     projective_degree,

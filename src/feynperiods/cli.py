@@ -3,7 +3,7 @@
 Subcommands:
 
 * ``symanzik GRAPH``    print the graph polynomials of a graph file.
-* ``divergence GRAPH``  superficial degree, primitivity, phi^4 eligibility.
+* ``divergence GRAPH``  superficial degree, convergence, primitivity, phi^4 eligibility.
 * ``period GRAPH``      Monte Carlo estimate of the parametric integral.
 * ``zeta INDICES``      (multiple) zeta values, or the iterated-integral word.
 * ``galois ...``        matrix representations, conjugate spans, ratio check.
@@ -32,7 +32,14 @@ import operator
 import re
 import sys
 
-from .divergence import IntegrandSpec, is_phi4, is_primitive, projective_degree, weight_bound
+from .divergence import (
+    IntegrandSpec,
+    convergence,
+    is_phi4,
+    is_primitive,
+    projective_degree,
+    weight_bound,
+)
 from .galois import (
     RATIO_MAGNITUDE,
     GaloisElement,
@@ -141,7 +148,11 @@ def _cmd_divergence(args):
     graph = load_graph(args.graph)
     spec = _integrand_spec(args)
     degree = projective_degree(graph, spec)
-    primitive, witness = is_primitive(graph)
+    convergent, divergent_at, omega, certified = convergence(graph, spec)
+    if spec == IntegrandSpec():
+        primitive, witness = convergent, divergent_at
+    else:
+        primitive, witness = is_primitive(graph)
     phi4 = is_phi4(graph)
     bound = weight_bound(graph)
     results = {
@@ -151,6 +162,9 @@ def _cmd_divergence(args):
         "integrable": degree == 0,
         "primitive": primitive,
         "witness": list(witness) if witness is not None else None,
+        "convergent": convergent,
+        "convergence_witness": list(divergent_at) if divergent_at is not None else None,
+        "certified": certified,
         "phi4": phi4,
         "weight_bound": bound,
     }
@@ -164,6 +178,13 @@ def _cmd_divergence(args):
         lines.append("primitive: yes")
     else:
         lines.append(f"primitive: no   (witness subgraph {{{', '.join(map(str, witness))}}})")
+    if divergent_at is not None:
+        subgraph = ", ".join(map(str, divergent_at))
+        lines.append(f"convergent: no   (subgraph {{{subgraph}}} has omega {omega})")
+    elif certified:
+        lines.append("convergent: yes")
+    else:
+        lines.append("convergent: yes, not certified   (xi and a massless edge: necessary test only)")
     lines.append(f"phi^4 eligible: {'yes' if phi4 else 'no'}")
     lines.append(f"weight bound (informational): {bound}")
     return results, {}, lines

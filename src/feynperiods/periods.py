@@ -58,7 +58,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 
-from .divergence import IntegrandSpec, projective_degree
+from .divergence import IntegrandSpec, convergence, projective_degree
 from .mzv import mzv_with_error
 from .polynomials import _as_int
 from .symanzik import psi_enumerate, xi
@@ -132,9 +132,20 @@ def _row_sums(cols):
     return s
 
 
+def _simplex_volume(n, b):
+    """Gamma(b)^n / Gamma(n*b), the Dirichlet(b) weight's constant on n variables."""
+    try:
+        return math.gamma(b) ** n / math.gamma(n * b)
+    except OverflowError:
+        raise ValueError(
+            f"boundary_bias {b!r} is too small for {n} variables: "
+            "the Dirichlet chart volume overflows"
+        ) from None
+
+
 def _simplex(rng, m, n, b):
     """Blocks of Dirichlet(b) points on the simplex, as (n, rows) columns, and their weights."""
-    volume = math.gamma(b) ** n / math.gamma(n * b)
+    volume = _simplex_volume(n, b)
     draws = rng.standard_gamma(b, size=(m, n))
     for lo in range(0, m, _BLOCK):
         x = draws[lo:lo + _BLOCK].T.copy()
@@ -221,9 +232,15 @@ def integrate(
     connected, and, when a xi power is present, xi must be a nonzero
     polynomial with nonnegative coefficients (Euclidean region).  ``samples``,
     ``seed`` and ``workers`` must be integers and ``boundary_bias`` a real
-    number (a bool is neither).  Returns a
-    :class:`PeriodEstimate`; the estimate is exact in expectation, and the
-    reported standard error is the usual sample estimate.
+    number (a bool is neither) small enough that the Dirichlet chart volume
+    is a finite float.  After these checks the subgraph power counting of
+    :func:`feynperiods.divergence.convergence` runs, and an integral it
+    proves divergent (a subgraph with omega <= 0) is refused with the
+    witness and its omega.  Where the test is not certified (a xi power and
+    a massless edge) and finds no witness, the integral runs as any other.
+    Returns a :class:`PeriodEstimate`; the estimate is exact in
+    expectation, and the reported standard error is the usual sample
+    estimate.
     """
     spec = spec if spec is not None else IntegrandSpec()
     samples, seed, workers = _run_parameters(samples, seed, workers)
@@ -255,6 +272,13 @@ def integrate(
         if any(c < 0 for c in xi_poly.terms.values()):
             raise ValueError("xi has a negative coefficient; not in the Euclidean region")
         denominators.append((xi_poly, spec.xi_power))
+    if chart == "simplex":
+        _simplex_volume(g.n_edges, b)  # refuse an overflowing volume before any chunk runs
+    _, witness, omega, _ = convergence(g, spec)
+    if witness is not None:
+        raise ValueError(
+            f"the integral diverges: subgraph {{{', '.join(map(str, witness))}}} has omega {omega}"
+        )
     numerator = spec.numerator if spec.numerator != 1 else None
     run_chunk = functools.partial(
         _run_chunk, sampler, seed, samples, sorted(g.edge_ids()), numerator, denominators

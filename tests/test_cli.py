@@ -52,6 +52,23 @@ def test_divergence_reports_witness(capsys):
     assert "phi^4 eligible: yes" in out
 
 
+def test_divergence_verdict_follows_the_spec(capsys):
+    # K4 is primitive, but this numerator over psi^3 diverges on the triangle {1, 2, 4}
+    code, out, _ = invoke(capsys, "divergence", K4, "--numerator",
+                          "2*a1*a2*a3 + a4^3 + 1/3*a5^2*a6", "--psi-power", "3", "--json")
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert (results["primitive"], results["witness"]) == (True, None)
+    assert (results["convergent"], results["convergence_witness"]) == (False, [1, 2, 4])
+    # the massless banana with 1/xi diverges; no massless edge may certify a verdict
+    code, out, _ = invoke(capsys, "divergence", BANANA, "--psi-power", "0", "--xi-power", "1")
+    assert code == 0
+    assert "convergent: no   (subgraph {1} has omega 0)" in out
+    code, out, _ = invoke(capsys, "divergence", BANANA, "--numerator", "a1*a2", "--xi-power", "1")
+    assert code == 0
+    assert "convergent: yes, not certified   (xi and a massless edge: necessary test only)" in out
+
+
 def test_period_expect_pass(capsys):
     code, out, _ = invoke(
         capsys, "period", BANANA, "--samples", "10000", "--expect", "1.0"
@@ -141,6 +158,10 @@ def test_exit_codes(capsys, tmp_path):
     assert code == 1 and "--sigma N=VALUE" in err and "'x=1'" in err
     code, _, err = invoke(capsys, "divergence", "fixtures/k4.json", "--numerator", "1/0")
     assert code == 1 and err.startswith("error:") and "'1/0'" in err
+    code, _, err = invoke(capsys, "period", K4, "--samples", "100", "--boundary-bias", "1e-60")
+    assert code == 1 and err.startswith("error:") and "too small for 6 variables" in err
+    code, _, err = invoke(capsys, "period", FOURGRAPH, "--samples", "100")
+    assert code == 1 and err == "error: the integral diverges: subgraph {3, 4} has omega 0\n"
     bad = tmp_path / "edges.json"
     bad.write_text(json.dumps({"vertices": ["u", "v"], "edges": 3}))
     code, _, err = invoke(capsys, "symanzik", str(bad))
@@ -190,10 +211,14 @@ PINNED = [
         "edges: 4   loops: 2\n"
         "projective degree: 0   (integrand is well defined)\n"
         "primitive: no   (witness subgraph {3, 4})\n"
+        "convergent: no   (subgraph {3, 4} has omega 0)\n"
         "phi^4 eligible: yes\n"
         "weight bound (informational): 8\n",
         {"command": "divergence",
-         "results": {"edges": 4,
+         "results": {"certified": True,
+                     "convergence_witness": [3, 4],
+                     "convergent": False,
+                     "edges": 4,
                      "integrable": True,
                      "loop_number": 2,
                      "phi4": True,
@@ -210,10 +235,14 @@ PINNED = [
         "edges: 6   loops: 3\n"
         "projective degree: 0   (integrand is well defined)\n"
         "primitive: yes\n"
+        "convergent: yes\n"
         "phi^4 eligible: yes\n"
         "weight bound (informational): 12\n",
         {"command": "divergence",
-         "results": {"edges": 6,
+         "results": {"certified": True,
+                     "convergence_witness": None,
+                     "convergent": True,
+                     "edges": 6,
                      "integrable": True,
                      "loop_number": 3,
                      "phi4": True,

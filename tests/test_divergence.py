@@ -1,17 +1,21 @@
 """Power counting and the subgraph convergence test."""
 
+import tracemalloc
+from math import comb
+
 import pytest
 
 from feynperiods.divergence import (
     IntegrandSpec,
+    convergence,
     is_phi4,
     is_primitive,
     projective_degree,
     subgraph_loop_number,
     weight_bound,
 )
-from feynperiods.graphs import Edge, ExternalLeg, FeynmanGraph, load_graph
-from feynperiods.polynomials import SparsePolynomial
+from feynperiods.graphs import Edge, ExternalLeg, FeynmanGraph, graph_from_dict, load_graph
+from feynperiods.polynomials import SparsePolynomial, parse_polynomial
 
 triangle = load_graph("fixtures/triangle.json")
 banana = load_graph("fixtures/banana.json")
@@ -80,6 +84,82 @@ def test_primitive_needs_connected():
     g = FeynmanGraph(vertices=("u", "v"), edges=())
     with pytest.raises(ValueError, match="connected"):
         is_primitive(g)
+
+
+def wheel(n):
+    """The wheel with n spokes: 2n edges, n loops, primitive."""
+    rim = [f"r{i}" for i in range(n)]
+    ends = [("hub", r) for r in rim] + [(rim[i], rim[(i + 1) % n]) for i in range(n)]
+    return graph_from_dict({
+        "vertices": ["hub", *rim],
+        "edges": [{"id": i, "ends": list(e)} for i, e in enumerate(ends, 1)],
+    })
+
+
+def test_convergence_of_numerators_over_psi_cubed():
+    def spec(text):
+        return IntegrandSpec(numerator=parse_polynomial(text), psi_power=3)
+
+    assert convergence(k4, IntegrandSpec()) == (True, None, None, True)
+    assert convergence(fourgraph, IntegrandSpec()) == (False, (3, 4), 0, True)
+    # the triangle 1, 2, 4 has ord 3 in psi^3 and ord 0 in a5^2*a6: the
+    # smallest failing set, ahead of the five edges {1, 2, 3, 5, 6} where a4^3 has omega -1
+    assert convergence(k4, spec("2*a1*a2*a3 + a4^3 + 1/3*a5^2*a6")) == (False, (1, 2, 4), 0, True)
+    assert convergence(k4, spec("a1*a2*a3")) == (False, (4, 5, 6), 0, True)  # a vertex star
+    # squarefree triples that are no vertex star converge, and so do their sums
+    assert convergence(k4, spec("2*a1*a2*a4 + a1*a3*a5 + 1/3*a4*a5*a6")) == (True, None, None, True)
+    assert convergence(k4, IntegrandSpec(numerator=SparsePolynomial.zero(), psi_power=3))[0]
+
+
+def test_convergence_with_xi():
+    massless = IntegrandSpec(psi_power=0, xi_power=1)
+    # xi = a1*a2: ord 1 on one edge, so omega = 1 - 1
+    assert convergence(banana, massless) == (False, (1,), 0, False)
+    # 1/(psi^2 xi) times a1*a2 is 1/(a1 + a2)^2: no witness, but a massless
+    # edge leaves the test necessary only
+    spec = IntegrandSpec(numerator=parse_polynomial("a1*a2"), psi_power=2, xi_power=1)
+    assert convergence(banana, spec) == (True, None, None, False)
+    massive = FeynmanGraph(
+        vertices=banana.vertices,
+        edges=tuple(Edge(e.id, e.ends, 1) for e in banana.edges),
+        legs=banana.legs,
+    )
+    assert convergence(massive, massless) == (True, None, None, True)
+    assert convergence(triangle, IntegrandSpec(psi_power=1, xi_power=1)) == (True, None, None, True)
+    with pytest.raises(ValueError, match="xi vanishes identically"):
+        convergence(fourgraph, IntegrandSpec(psi_power=1, xi_power=1))
+
+
+def test_numerator_variables_must_be_edges():
+    spec = IntegrandSpec(numerator=parse_polynomial("a1*a4*a9 + a7*a2*a4"), psi_power=3)
+    with pytest.raises(ValueError, match="numerator variable a7 names no edge"):
+        convergence(k4, spec)
+
+
+def test_powers_beyond_the_table_are_refused():
+    # the table's int64 omegas are exact only below these bounds
+    for spec in (
+        IntegrandSpec(psi_power=1 << 62),
+        IntegrandSpec(xi_power=1 << 31),
+        IntegrandSpec(numerator=SparsePolynomial({((1, 1 << 40),): 1})),
+    ):
+        with pytest.raises(ValueError, match="powers and a numerator degree below 2\\^31"):
+            convergence(triangle, spec)
+
+
+def test_layer_limit_refuses_before_building_the_layer():
+    w20 = wheel(20)
+    assert w20.n_edges == 40 and is_primitive(wheel(10)) == (True, None)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="on 40 edges needs 13818168 table entries for "
+                                             "the 658008 subsets of size 5"):
+            is_primitive(w20)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # less than the refused layer's vertex classes alone, at one byte each
+    assert peak < comb(40, 5) * len(w20.vertices)
 
 
 def test_phi4_eligibility():

@@ -10,7 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from feynperiods.divergence import subgraph_loop_number
+from feynperiods.divergence import (
+    IntegrandSpec,
+    convergence,
+    is_primitive,
+    projective_degree,
+    subgraph_loop_number,
+)
 from feynperiods.graphs import Edge, ExternalLeg, FeynmanGraph
 from feynperiods.polynomials import SparsePolynomial, _term_sort_key, parse_polynomial
 from feynperiods.symanzik import (
@@ -269,6 +275,54 @@ def test_polynomials_match_constructor_oracle_in_order_and_type(data, g):
         forests = _spanning_forests(sub, len(sub.components()))
         want = complement_sum_oracle(sub, ((f, 1) for f, _ in forests))
         assert exact_terms(psi_subgraph(g, gamma)) == exact_terms(want)
+
+
+def first_divergence_oracle(g, spec):
+    """Scan the subsets, smallest first, for omega <= 0 with ord taken term by term."""
+    polys = [(spec.numerator, 1)] + ([(xi(g), -spec.xi_power)] if spec.xi_power else [])
+    ids = sorted(g.edge_ids())
+    for size in range(1, len(ids)):
+        for gamma in combinations(ids, size):
+            omega = size - spec.psi_power * subgraph_loop_number(g, gamma)
+            for poly, weight in polys:
+                omega += weight * min(sum(e for v, e in key if v in gamma) for key in poly.terms)
+            if omega <= 0:
+                return gamma, omega
+    return None, None
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), g=decorated_multigraphs())
+def test_convergence_matches_subset_scan(data, g):
+    # a random degree-0 integrand P / (psi^A xi^B) with a sum of monomials for P
+    n, h = g.n_edges, g.loop_number()
+    xi_power = data.draw(st.integers(0, 2))
+    if h == 0:
+        xi_power, psi_power = n, data.draw(st.integers(0, 2))
+    else:
+        lowest = max(0, -(-(n - xi_power * (h + 1)) // h))
+        psi_power = lowest + data.draw(st.integers(0, 2))
+    degree = psi_power * h + xi_power * (h + 1) - n
+    monomial = st.just([])
+    if degree:
+        monomial = st.lists(st.sampled_from(g.edge_ids()), min_size=degree, max_size=degree)
+    coeff = st.sampled_from((1, 2, -1, Fraction(1, 3), Fraction(-5, 2)))
+    terms = data.draw(st.lists(st.tuples(monomial, coeff), min_size=1, max_size=3))
+    numerator = sum((SparsePolynomial.monomial(v, c) for v, c in terms), SparsePolynomial.zero())
+    spec = IntegrandSpec(numerator=numerator, psi_power=psi_power, xi_power=xi_power)
+    assert numerator.is_zero() or projective_degree(g, spec) == 0
+
+    certified = xi_power == 0 or all(e.mass_sq > 0 for e in g.edges)
+    if numerator.is_zero():
+        assert convergence(g, spec) == (True, None, None, certified)
+    elif xi_power and xi(g).is_zero():
+        with pytest.raises(ValueError, match="xi vanishes identically"):
+            convergence(g, spec)
+    else:
+        witness, omega = first_divergence_oracle(g, spec)
+        assert convergence(g, spec) == (witness is None, witness, omega, certified)
+    witness, _ = first_divergence_oracle(g, IntegrandSpec())
+    assert is_primitive(g) == (witness is None, witness)
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,6 +1,7 @@
 """Monte Carlo period integration: exactness, reproducibility, consistency."""
 
 import math
+import re
 import time
 from concurrent.futures.process import BrokenProcessPool
 
@@ -74,7 +75,7 @@ def test_reproducible_for_any_worker_count():
 # One full chunk plus a partial one that ends 7 rows into its fourth block.
 GOLDEN_SAMPLES = _CHUNK + 3 * _BLOCK + 7
 GOLDEN_NUMERATOR = IntegrandSpec(
-    numerator=parse_polynomial("2*a1*a2*a3 + a4^3 + 1/3*a5^2*a6"), psi_power=3
+    numerator=parse_polynomial("2*a1*a2*a4 + a1*a3*a5 + 1/3*a4*a5*a6"), psi_power=3
 )
 
 
@@ -90,7 +91,7 @@ GOLDEN_NUMERATOR = IntegrandSpec(
             "0.8609077242855216", "0.00010333998149073306",
         ),
         ("banana", MASSIVE_SPEC, {}, "0.8609072548564936", "0.00010327697316276544"),
-        ("k4", GOLDEN_NUMERATOR, {"boundary_bias": 0.5}, "932.621065540807", "286.5601314960576"),
+        ("k4", GOLDEN_NUMERATOR, {"boundary_bias": 0.5}, "1.6556691566475952", "0.009685832666004967"),
         # 8 variables: the normalising row sum takes numpy's eight-accumulator branch
         ("wheel4", None, {"boundary_bias": 0.5}, "21.788702963102715", "1.1503290594625264"),
         # the Jacobian multiplies 5 columns
@@ -223,6 +224,32 @@ def test_boundary_bias_validation():
     for bad in (0.0, -0.3, 1.5):
         with pytest.raises(ValueError, match="boundary_bias"):
             integrate(banana(), boundary_bias=bad)
+    # Gamma(b)^6 overflows a float; refused before any chunk runs
+    with pytest.raises(ValueError, match="boundary_bias 1e-60 is too small for 6 variables"):
+        integrate(load_graph("fixtures/k4.json"), samples=100, boundary_bias=1e-60)
+
+
+@pytest.mark.parametrize(
+    "g, spec, witness",
+    [
+        # a bubble: 2 edges, 1 loop
+        (load_graph("fixtures/fourgraph.json"), None, "{3, 4}"),
+        # the a5^2*a6 term keeps ord 0 on the triangle (1, 2, 4), where psi^3 has ord 3
+        (
+            load_graph("fixtures/k4.json"),
+            IntegrandSpec(numerator=parse_polynomial("2*a1*a2*a3 + a4^3 + 1/3*a5^2*a6"),
+                          psi_power=3),
+            "{1, 2, 4}",
+        ),
+        # xi = a1*a2 has ord 1 on one edge
+        (banana(), IntegrandSpec(psi_power=0, xi_power=1), "{1}"),
+    ],
+    ids=["fourgraph", "k4-numerator", "massless-banana-xi"],
+)
+def test_divergent_integrals_are_refused(g, spec, witness):
+    message = f"the integral diverges: subgraph {witness} has omega 0"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        integrate(g, spec, samples=100)
 
 
 def test_rejects_bad_inputs():
