@@ -21,7 +21,7 @@ print(f"banana:  {est.value} +- {est.std_error}  (exactly 1, zero variance)")
 # back tames the spread, but the variance stays infinite: the two-loop,
 # five-edge subgraph in K4 would need a bias below 0.4, and no fixed bias
 # works at every loop order.  Treat the error bars below as indicative;
-# tropical sampling (ROADMAP item 2) is the planned fix.
+# tropical sampling (ROADMAP item 3) is the planned fix.
 k4 = load_graph("fixtures/k4.json")
 ref = 6 * zeta(3)
 t0 = time.time()

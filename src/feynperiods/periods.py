@@ -20,9 +20,13 @@ with one contiguous run of chunks per worker, and the sums come back and
 are reduced in chunk order, so a run is reproducible bit for bit for a
 fixed (samples, seed) pair with any worker count.
 
-Each chart is one generator that draws its chunk's whole stream at once
-and yields it in blocks of ``_BLOCK`` rows, transposed once into
-per-variable columns of shape (n, rows), together with their weights.  One
+Each chart is one generator that draws its chunk's stream one block of
+``_BLOCK`` rows at a time, as the block is processed, so a chunk holds one
+block of random numbers, not all of them.  numpy fills a draw in row-major
+order and keeps no leftover state between calls that return doubles, so
+the block draws, joined in order, are the chunk's whole draw bit for bit.
+Each block is transposed once into per-variable columns of shape
+(n, rows) and yielded together with its weights.  One
 integrand step serves every chart: it multiplies the weights by the
 numerator and divides them by each denominator power in place, and writes
 the block into the chunk's one vector, so the many array passes stay in
@@ -144,11 +148,13 @@ def _simplex_volume(n, b):
 
 
 def _simplex(rng, m, n, b):
-    """Blocks of Dirichlet(b) points on the simplex, as (n, rows) columns, and their weights."""
+    """Blocks of Dirichlet(b) points on the simplex, as (n, rows) columns, and their weights.
+
+    Each block's Gamma(b) draws are taken from ``rng`` as the block is built.
+    """
     volume = _simplex_volume(n, b)
-    draws = rng.standard_gamma(b, size=(m, n))
     for lo in range(0, m, _BLOCK):
-        x = draws[lo:lo + _BLOCK].T.copy()
+        x = rng.standard_gamma(b, size=(min(_BLOCK, m - lo), n)).T.copy()
         x /= _row_sums(x)
         if b == 1.0:
             w = np.full(x.shape[1], volume)
@@ -159,10 +165,12 @@ def _simplex(rng, m, n, b):
 
 
 def _affine(rng, m, n):
-    """Blocks of affine-chart points as (n, rows) columns (the last is 1) and their Jacobians."""
-    draws = rng.random(size=(m, n - 1))
+    """Blocks of affine-chart points as (n, rows) columns (the last is 1) and their Jacobians.
+
+    Each block's uniform draws are taken from ``rng`` as the block is built.
+    """
     for lo in range(0, m, _BLOCK):
-        d = draws[lo:lo + _BLOCK]
+        d = rng.random(size=(min(_BLOCK, m - lo), n - 1))
         x = np.ones((n, len(d)))
         x[:-1] = d.T
         u = 1.0 - x[:-1]
@@ -184,7 +192,9 @@ def _run_chunk(sampler, seed, samples, edge_ids, numerator, denominators, chunk)
             w /= poly.evaluate(cols) ** power
         vals[lo:lo + len(w)] = w
         lo += len(w)
-    return float(vals.sum()), float((vals * vals).sum())
+    total = float(vals.sum())
+    vals *= vals
+    return total, float(vals.sum())
 
 
 _pool = None  # (workers, ProcessPoolExecutor): the one pool of this process

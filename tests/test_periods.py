@@ -1,8 +1,10 @@
 """Monte Carlo period integration: exactness, reproducibility, consistency."""
 
+import functools
 import math
 import re
 import time
+import tracemalloc
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
@@ -15,6 +17,7 @@ from feynperiods.divergence import IntegrandSpec
 from feynperiods.graphs import Edge, ExternalLeg, FeynmanGraph, load_graph
 from feynperiods.periods import _BLOCK, _CHUNK, PeriodEstimate, g_minus_2_two_loop, integrate
 from feynperiods.polynomials import SparsePolynomial, parse_polynomial
+from feynperiods.symanzik import psi_enumerate
 
 
 def banana(mass_sq=0):
@@ -180,6 +183,39 @@ def test_same_bits_on_one_two_and_three_workers(case, samples, seed):
         )
     }
     assert len(runs) == 1
+
+
+def wheel5():
+    rim = [f"r{i}" for i in range(5)]
+    ends = [("hub", r) for r in rim] + [(rim[i], rim[(i + 1) % 5]) for i in range(5)]
+    return FeynmanGraph(
+        vertices=("hub", *rim), edges=tuple(Edge(i, e) for i, e in enumerate(ends, 1))
+    )
+
+
+@pytest.mark.parametrize(
+    "sampler", [functools.partial(periods._simplex, b=0.5), periods._affine],
+    ids=["simplex", "affine"],
+)
+def test_chunk_memory_is_one_block(sampler):
+    # A chunk keeps its one vector of _CHUNK values and, in (n, _BLOCK)
+    # arrays, what one block keeps alive at its peak: the previous block's
+    # points, still bound in _run_chunk's loop, the new block's draws and
+    # points, and the chart's temporaries, at most three on the affine
+    # chart (1 - d, its square and the square's reciprocal).  That is six;
+    # k = 8 leaves two for the evaluator's rows and the Dirichlet weight's
+    # powers.  A chunk that draws all its rows at once holds 16 blocks of
+    # draws, about 27 MiB here against the bound's 12 MiB.
+    g = wheel5()
+    n, k = g.n_edges, 8
+    denominators = [(psi_enumerate(g), 2)]
+    tracemalloc.start()
+    try:
+        periods._run_chunk(sampler, 7, _CHUNK, sorted(g.edge_ids()), None, denominators, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= _CHUNK * 8 + k * n * _BLOCK * 8, peak / 2**20
 
 
 def test_pool_is_reused_replaced_and_restarted():
