@@ -163,12 +163,12 @@ def convergence(g, spec):
     so ``omega`` is not the minimum over all subgraphs.  A witness always
     proves divergence.  ``certified`` is true when the test is also
     sufficient: B = 0 or every edge is massive (see the module docstring).
-    A zero numerator converges; a numerator variable that names no edge,
-    a power or numerator degree of 2^31 or more, and a zero xi with B > 0
-    are refused.  So is a graph whose table would
-    need a layer of more than ``_LAYER_CELLS`` entries (subsets times
-    vertices plus terms), before that layer is built: with 1/psi^2 a
-    primitive graph passes up to 10 loops (20 edges, 11 vertices).
+    Refused in this order: a disconnected graph, a numerator variable that
+    names no edge, a power or numerator degree of 2^31 or more, a zero xi
+    with B > 0 (whatever the numerator; a zero numerator otherwise
+    converges), and a table layer of more than ``_LAYER_CELLS`` entries
+    (subsets times vertices plus terms), before it is built: with 1/psi^2
+    a primitive graph passes up to 10 loops (20 edges, 11 vertices).
     """
     _require_connected(g, "convergence test")
     unknown = set(spec.numerator.variables()).difference(g.edge_ids())
@@ -178,14 +178,14 @@ def convergence(g, spec):
     if max(spec.psi_power, spec.xi_power, spec.numerator.total_degree()) >= 1 << 31:
         raise ValueError("the convergence test needs powers and a numerator degree below 2^31")
     certified = spec.xi_power == 0 or all(e.mass_sq > 0 for e in g.edges)
-    if spec.numerator.is_zero():
-        return (True, None, None, certified)
     polys = [] if spec.numerator.is_homogeneous() == 0 else [(spec.numerator, 1)]
     if spec.xi_power:
         xi_poly = xi(g)
         if xi_poly.is_zero():
             raise ValueError("xi vanishes identically; the integrand is singular")
         polys.append((xi_poly, -spec.xi_power))
+    if spec.numerator.is_zero():
+        return (True, None, None, certified)
     witness, omega = _first_divergence(g, spec.psi_power, polys)
     return (witness is None, witness, omega, certified)
 

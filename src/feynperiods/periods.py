@@ -170,12 +170,12 @@ def _affine(rng, m, n):
     Each block's uniform draws are taken from ``rng`` as the block is built.
     """
     for lo in range(0, m, _BLOCK):
-        d = rng.random(size=(min(_BLOCK, m - lo), n - 1))
-        x = np.ones((n, len(d)))
-        x[:-1] = d.T
+        x = np.ones((n, min(_BLOCK, m - lo)))
+        x[:-1] = rng.random(size=(x.shape[1], n - 1)).T
         u = 1.0 - x[:-1]
         x[:-1] /= u
-        yield x, np.prod(1.0 / u ** 2, axis=0)
+        u *= u
+        yield x, np.prod(np.reciprocal(u, out=u), axis=0)
 
 
 def _run_chunk(sampler, seed, samples, edge_ids, numerator, denominators, chunk):
@@ -237,20 +237,20 @@ def integrate(
 ):
     """Estimate the projective period integral of ``P / (psi^A xi^B)`` over G.
 
-    The integrand must be homogeneous of total degree zero
-    (:func:`feynperiods.divergence.projective_degree` equal to 0), the graph
-    connected, and, when a xi power is present, xi must be a nonzero
-    polynomial with nonnegative coefficients (Euclidean region).  ``samples``,
-    ``seed`` and ``workers`` must be integers and ``boundary_bias`` a real
-    number (a bool is neither) small enough that the Dirichlet chart volume
-    is a finite float.  After these checks the subgraph power counting of
-    :func:`feynperiods.divergence.convergence` runs, and an integral it
-    proves divergent (a subgraph with omega <= 0) is refused with the
-    witness and its omega.  Where the test is not certified (a xi power and
-    a massless edge) and finds no witness, the integral runs as any other.
-    Returns a :class:`PeriodEstimate`; the estimate is exact in
-    expectation, and the reported standard error is the usual sample
-    estimate.
+    Refusals run in this order: ``samples``, ``seed`` and ``workers`` that
+    are not integers (a bool is not one), below 2, negative or below 1; an
+    unknown chart, or a ``boundary_bias`` outside (0, 1], not a real number
+    or given to the affine chart; a projective degree other than 0; fewer
+    than two edges; a Dirichlet chart volume that overflows; then the one
+    gate for integrability, :func:`feynperiods.divergence.convergence`:
+    connectivity, numerator variables, powers, table size, a zero xi, and
+    a subgraph with omega <= 0, named with its omega.  Nothing is built
+    before the gate.  Last, with psi and xi built, a xi with a negative
+    coefficient (outside the Euclidean region).  Where the test is not
+    certified (a xi power and a massless edge) and finds no witness, the
+    integral runs as any other.  Returns a :class:`PeriodEstimate`; the
+    estimate is exact in expectation, and the reported standard error is
+    the usual sample estimate.
     """
     spec = spec if spec is not None else IntegrandSpec()
     samples, seed, workers = _run_parameters(samples, seed, workers)
@@ -272,23 +272,21 @@ def integrate(
         raise ValueError(f"integrand has projective degree {deg}, must be 0")
     if g.n_edges < 2:
         raise ValueError("need at least two edges to integrate")
-    denominators = []
-    if spec.psi_power:
-        denominators.append((psi_enumerate(g), spec.psi_power))
-    if spec.xi_power:
-        xi_poly = xi(g)
-        if xi_poly.is_zero():
-            raise ValueError("xi vanishes identically; the integrand is singular")
-        if any(c < 0 for c in xi_poly.terms.values()):
-            raise ValueError("xi has a negative coefficient; not in the Euclidean region")
-        denominators.append((xi_poly, spec.xi_power))
     if chart == "simplex":
-        _simplex_volume(g.n_edges, b)  # refuse an overflowing volume before any chunk runs
+        _simplex_volume(g.n_edges, b)  # refuse an overflowing volume before anything is built
     _, witness, omega, _ = convergence(g, spec)
     if witness is not None:
         raise ValueError(
             f"the integral diverges: subgraph {{{', '.join(map(str, witness))}}} has omega {omega}"
         )
+    denominators = []
+    if spec.psi_power:
+        denominators.append((psi_enumerate(g), spec.psi_power))
+    if spec.xi_power:
+        xi_poly = xi(g)
+        if any(c < 0 for c in xi_poly.terms.values()):
+            raise ValueError("xi has a negative coefficient; not in the Euclidean region")
+        denominators.append((xi_poly, spec.xi_power))
     numerator = spec.numerator if spec.numerator != 1 else None
     run_chunk = functools.partial(
         _run_chunk, sampler, seed, samples, sorted(g.edge_ids()), numerator, denominators

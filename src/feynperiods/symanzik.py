@@ -81,7 +81,7 @@ def _spanning_forests(g, k):
     """
     verts = {v: i for i, v in enumerate(sorted(g.vertices))}
     n = len(verts)
-    if n < k:
+    if n < k or len(g.components()) > k:
         return
     pairs = [
         (verts[e.ends[0]], verts[e.ends[1]], e.id)

@@ -166,6 +166,15 @@ def test_exit_codes(capsys, tmp_path):
     bad.write_text(json.dumps({"vertices": ["u", "v"], "edges": 3}))
     code, _, err = invoke(capsys, "symanzik", str(bad))
     assert code == 1 and err.startswith("error:") and "'edges'" in err
+    two_bananas = tmp_path / "two_bananas.json"
+    two_bananas.write_text(json.dumps({
+        "vertices": ["a", "b", "c", "d"],
+        "edges": [{"id": i, "ends": ends}
+                  for i, ends in enumerate([["a", "b"], ["a", "b"], ["c", "d"], ["c", "d"]], 1)],
+    }))
+    for command in ("period", "symanzik"):
+        code, _, err = invoke(capsys, command, str(two_bananas))
+        assert code == 1 and err.startswith("error:") and "connected" in err, (command, err)
 
 
 # argv, its exact text output, and the command, results and diagnostics of

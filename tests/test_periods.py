@@ -1,6 +1,7 @@
 """Monte Carlo period integration: exactness, reproducibility, consistency."""
 
 import functools
+import itertools
 import math
 import re
 import time
@@ -12,12 +13,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from feynperiods import periods
-from feynperiods.divergence import IntegrandSpec
+from feynperiods import periods, symanzik
+from feynperiods.divergence import IntegrandSpec, convergence
 from feynperiods.graphs import Edge, ExternalLeg, FeynmanGraph, load_graph
 from feynperiods.periods import _BLOCK, _CHUNK, PeriodEstimate, g_minus_2_two_loop, integrate
 from feynperiods.polynomials import SparsePolynomial, parse_polynomial
-from feynperiods.symanzik import psi_enumerate
+from feynperiods.symanzik import SymanzikSet, psi_enumerate, spanning_trees
 
 
 def banana(mass_sq=0):
@@ -185,12 +186,15 @@ def test_same_bits_on_one_two_and_three_workers(case, samples, seed):
     assert len(runs) == 1
 
 
-def wheel5():
-    rim = [f"r{i}" for i in range(5)]
-    ends = [("hub", r) for r in rim] + [(rim[i], rim[(i + 1) % 5]) for i in range(5)]
-    return FeynmanGraph(
-        vertices=("hub", *rim), edges=tuple(Edge(i, e) for i, e in enumerate(ends, 1))
-    )
+def wheels(*spokes):
+    """Disjoint wheels with the given numbers of spokes, as one graph."""
+    vertices, edges = [], []
+    for w, n in enumerate(spokes):
+        hub, rim = f"h{w}", [f"r{w}.{i}" for i in range(n)]
+        vertices += [hub, *rim]
+        ends = [(hub, r) for r in rim] + [(rim[i], rim[(i + 1) % n]) for i in range(n)]
+        edges += [Edge(len(edges) + i, e) for i, e in enumerate(ends, 1)]
+    return FeynmanGraph(vertices=tuple(vertices), edges=tuple(edges))
 
 
 @pytest.mark.parametrize(
@@ -201,13 +205,13 @@ def test_chunk_memory_is_one_block(sampler):
     # A chunk keeps its one vector of _CHUNK values and, in (n, _BLOCK)
     # arrays, what one block keeps alive at its peak: the previous block's
     # points, still bound in _run_chunk's loop, the new block's draws and
-    # points, and the chart's temporaries, at most three on the affine
-    # chart (1 - d, its square and the square's reciprocal).  That is six;
-    # k = 8 leaves two for the evaluator's rows and the Dirichlet weight's
-    # powers.  A chunk that draws all its rows at once holds 16 blocks of
-    # draws, about 27 MiB here against the bound's 12 MiB.
-    g = wheel5()
-    n, k = g.n_edges, 8
+    # points, and one temporary of the chart: on the affine chart 1 - x,
+    # squared and inverted in place.  That is four; k = 5 leaves one for
+    # the evaluator's rows and the Dirichlet weight's powers.  A chunk that
+    # draws all its rows at once holds 16 blocks of draws, about 27 MiB
+    # here against the bound's 8.25 MiB.
+    g = wheels(5)
+    n, k = g.n_edges, 5
     denominators = [(psi_enumerate(g), 2)]
     tracemalloc.start()
     try:
@@ -286,6 +290,49 @@ def test_divergent_integrals_are_refused(g, spec, witness):
     message = f"the integral diverges: subgraph {witness} has omega 0"
     with pytest.raises(ValueError, match=re.escape(message)):
         integrate(g, spec, samples=100)
+
+
+TWO_WHEELS = wheels(4, 4)
+
+
+@pytest.mark.parametrize(
+    "run, message",
+    [
+        (functools.partial(integrate, TWO_WHEELS),
+         "convergence test needs a connected graph (components: 2)"),
+        # refused at subset size 7, before that layer is built
+        (functools.partial(integrate, wheels(12)), "the convergence test on 24 edges needs"),
+        (functools.partial(integrate, load_graph("fixtures/fourgraph.json")),
+         "the integral diverges: subgraph {3, 4} has omega 0"),
+        *[
+            (functools.partial(f, TWO_WHEELS),
+             "spanning tree enumeration needs a connected graph (components: 2)")
+            for f in (spanning_trees, psi_enumerate, SymanzikSet.of)
+        ],
+    ],
+    ids=["integrate-two-wheels", "integrate-w12", "integrate-fourgraph",
+         "spanning-trees", "psi-enumerate", "symanzik-set"],
+)
+def test_nothing_is_enumerated_before_a_refusal(monkeypatch, run, message):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return itertools.combinations(*args)
+
+    monkeypatch.setattr(symanzik, "combinations", counted)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run()
+    assert calls == []
+
+
+def test_zero_xi_is_refused_whatever_the_numerator():
+    # no legs and no masses, so xi = 0; the numerator 0 makes the integrand 0/0
+    g = FeynmanGraph(vertices=("u", "v"), edges=(Edge(1, ("u", "v")), Edge(2, ("u", "v"))))
+    spec = IntegrandSpec(numerator=SparsePolynomial.zero(), psi_power=0, xi_power=1)
+    for run in (functools.partial(integrate, samples=100), convergence):
+        with pytest.raises(ValueError, match="xi vanishes identically"):
+            run(g, spec)
 
 
 def test_rejects_bad_inputs():
