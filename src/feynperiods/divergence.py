@@ -168,7 +168,8 @@ def convergence(g, spec):
     with B > 0 (whatever the numerator; a zero numerator otherwise
     converges), and a table layer of more than ``_LAYER_CELLS`` entries
     (subsets times vertices plus terms), before it is built: with 1/psi^2
-    a primitive graph passes up to 10 loops (20 edges, 11 vertices).
+    a primitive graph passes up to 10 loops (20 edges, 11 vertices).  With
+    B > 0, xi (a full 2-forest sweep, kept on ``g``) is built before that cap.
     """
     _require_connected(g, "convergence test")
     unknown = set(spec.numerator.variables()).difference(g.edge_ids())
@@ -180,10 +181,9 @@ def convergence(g, spec):
     certified = spec.xi_power == 0 or all(e.mass_sq > 0 for e in g.edges)
     polys = [] if spec.numerator.is_homogeneous() == 0 else [(spec.numerator, 1)]
     if spec.xi_power:
-        xi_poly = xi(g)
-        if xi_poly.is_zero():
+        if xi(g).is_zero():
             raise ValueError("xi vanishes identically; the integrand is singular")
-        polys.append((xi_poly, -spec.xi_power))
+        polys.append((xi(g), -spec.xi_power))
     if spec.numerator.is_zero():
         return (True, None, None, certified)
     witness, omega = _first_divergence(g, spec.psi_power, polys)

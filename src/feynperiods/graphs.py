@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+import functools
 from itertools import combinations
 import json
 
@@ -67,6 +68,24 @@ def _edge_set(g, edge_ids):
 def _require_connected(g, what):
     if not g.is_connected():
         raise ValueError(f"{what} needs a connected graph (components: {len(g.components())})")
+
+
+def _once_per_graph(build):
+    """Keep ``build(g)`` in ``g.__dict__``, as ``functools.cached_property`` does.
+
+    Graphs are immutable, so the value holds for the graph's life, pickles with it and
+    stays out of ``==``, ``hash``, ``repr`` and :func:`graph_to_dict`.
+    """
+    key = f"{build.__module__}.{build.__qualname__}"  # dotted, so no attribute shadows it
+
+    @functools.wraps(build)
+    def once(g):
+        value = g.__dict__.get(key)
+        if value is None:
+            value = g.__dict__[key] = build(g)
+        return value
+
+    return once
 
 
 @dataclass(frozen=True)
@@ -176,11 +195,7 @@ class FeynmanGraph:
 
     def momentum_conserved(self):
         """True iff the incoming leg momenta sum to zero, component by component, exactly."""
-        total = [Fraction(0)] * 4
-        for leg in self.legs:
-            for i, q in enumerate(leg.momentum):
-                total[i] += q
-        return all(t == 0 for t in total)
+        return all(sum(qs) == 0 for qs in zip(*(leg.momentum for leg in self.legs)))
 
     # -- minors ------------------------------------------------------------
 

@@ -245,12 +245,11 @@ def integrate(
     gate for integrability, :func:`feynperiods.divergence.convergence`:
     connectivity, numerator variables, powers, table size, a zero xi, and
     a subgraph with omega <= 0, named with its omega.  Nothing is built
-    before the gate.  Last, with psi and xi built, a xi with a negative
-    coefficient (outside the Euclidean region).  Where the test is not
-    certified (a xi power and a massless edge) and finds no witness, the
-    integral runs as any other.  Returns a :class:`PeriodEstimate`; the
-    estimate is exact in expectation, and the reported standard error is
-    the usual sample estimate.
+    before the gate.  Where the test is not certified (a xi power and a
+    massless edge) and finds no witness, the integral runs as any other.
+    Returns a :class:`PeriodEstimate`; the estimate is exact in
+    expectation, and the reported standard error is the usual sample
+    estimate.
     """
     spec = spec if spec is not None else IntegrandSpec()
     samples, seed, workers = _run_parameters(samples, seed, workers)
@@ -279,14 +278,8 @@ def integrate(
         raise ValueError(
             f"the integral diverges: subgraph {{{', '.join(map(str, witness))}}} has omega {omega}"
         )
-    denominators = []
-    if spec.psi_power:
-        denominators.append((psi_enumerate(g), spec.psi_power))
-    if spec.xi_power:
-        xi_poly = xi(g)
-        if any(c < 0 for c in xi_poly.terms.values()):
-            raise ValueError("xi has a negative coefficient; not in the Euclidean region")
-        denominators.append((xi_poly, spec.xi_power))
+    powers = ((psi_enumerate, spec.psi_power), (xi, spec.xi_power))  # g keeps the gate's xi
+    denominators = [(poly(g), power) for poly, power in powers if power]
     numerator = spec.numerator if spec.numerator != 1 else None
     run_chunk = functools.partial(
         _run_chunk, sampler, seed, samples, sorted(g.edge_ids()), numerator, denominators

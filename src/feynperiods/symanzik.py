@@ -25,11 +25,11 @@ psi_gamma below; one enumerator produces the forests for every k, and one
 function turns a forest sum into a polynomial by building its canonical
 dict directly: distinct forests have distinct complements, so no key is
 summed and no term needs the validating constructor.  phi squares the
-momentum of each leg partition once, however many forests share it.  Both
-enumeration and a determinant route are provided for psi; they must agree
-exactly.  The determinant route expands the reduced edge-weighted Laplacian
-by cofactors, which needs no division and so never leaves the polynomial
-ring.
+momentum of each leg partition once, however many forests share it.  psi,
+phi and xi are built once per graph and kept on it (``graphs._once_per_graph``).
+The determinant route for psi, the unmemoised oracle that enumeration must
+match exactly, expands the reduced edge-weighted Laplacian by cofactors,
+which needs no division and so never leaves the polynomial ring.
 
 Partial factorizations: for a subgraph gamma (a set of edge ids) write
 
@@ -46,7 +46,7 @@ spanning tree of G.  So the terms of lowest gamma-degree are the product
 psi_gamma * psi_{G/gamma} with every coefficient 1: their gamma-parts are
 psi_gamma, their other parts psi_{G/gamma}, and all other terms form R, whose
 gamma-degree is strictly greater than h_gamma.  The split works on edge
-bitmasks kept next to the psi memo, one per term with bit i for the i-th
+bitmasks, memoised per graph like psi, one per term with bit i for the i-th
 smallest edge id: a term's gamma-part is ``mask & gamma_mask``, its
 gamma-degree the popcount of that.  The analogous xi decompositions isolate
 ultraviolet (contract gamma) and infrared (gamma carries all mass and
@@ -60,7 +60,7 @@ from fractions import Fraction
 from itertools import combinations
 from operator import itemgetter
 
-from .graphs import _edge_set, _require_connected
+from .graphs import _edge_set, _once_per_graph, _require_connected
 from .polynomials import SparsePolynomial, _normalize_coeff
 
 
@@ -167,18 +167,10 @@ def _complement_sum(g, forests):
     return SparsePolynomial.from_canonical(terms)
 
 
+@_once_per_graph
 def psi_enumerate(g):
-    """First graph polynomial by direct spanning-tree enumeration.
-
-    Graphs are immutable, so the result is memoised on the graph instance:
-    it is kept in the instance ``__dict__``, as ``functools.cached_property``
-    does, which frees it with the graph and keeps it out of ``==``, ``hash``
-    and ``repr``.
-    """
-    psi = g.__dict__.get("_psi")
-    if psi is None:
-        psi = g.__dict__["_psi"] = _complement_sum(g, ((tree, 1) for tree in spanning_trees(g)))
-    return psi
+    """First graph polynomial by spanning-tree enumeration, kept by ``graphs._once_per_graph``."""
+    return _complement_sum(g, ((tree, 1) for tree in spanning_trees(g)))
 
 
 class _TermMasks(dict):
@@ -207,6 +199,11 @@ class _TermMasks(dict):
             rest ^= low
         key = self[mask] = tuple(key)
         return key
+
+
+@_once_per_graph
+def _term_masks(g):
+    return _TermMasks(g, psi_enumerate(g))
 
 
 def _cofactor_determinant(m):
@@ -265,6 +262,7 @@ def psi_determinant(g):
     return _complement_sum(g, [([v for v, _ in key], c) for key, c in kirchhoff.terms.items()])
 
 
+@_once_per_graph
 def phi(g):
     """Momentum polynomial (spanning-2-forest sum with squared momenta).
 
@@ -288,11 +286,7 @@ def phi(g):
         part = tuple(v for v in verts_a if v in by_vertex)
         coeff = squares.get(part)
         if coeff is None:
-            total = [Fraction(0)] * 4
-            for v in part:
-                q = by_vertex[v]
-                for i in range(4):
-                    total[i] += q[i]
+            total = [sum(qs, Fraction(0)) for qs in zip(*(by_vertex[v] for v in part))]
             coeff = squares[part] = sum(q * q for q in total)
         forests.append((edges_a + edges_b, coeff))
     return _complement_sum(g, forests)
@@ -305,6 +299,7 @@ def mass_term(g):
     )
 
 
+@_once_per_graph
 def xi(g):
     """``phi + (sum_e m_e^2 a_e) * psi``: the full denominator polynomial."""
     return phi(g) + mass_term(g) * psi_enumerate(g)
@@ -322,9 +317,7 @@ class SymanzikSet:
     @classmethod
     def of(cls, g):
         h = g.loop_number()
-        p = psi_enumerate(g)
-        f = phi(g)
-        x = f + mass_term(g) * p
+        p, f, x = psi_enumerate(g), phi(g), xi(g)
         if p.is_homogeneous() != h:
             raise AssertionError(f"psi is not homogeneous of degree {h}")
         for name, poly in (("phi", f), ("xi", x)):
@@ -379,10 +372,9 @@ def partial_factor_psi(g, gamma):
     """
     gamma = _check_gamma(g, gamma)
     psi_g = psi_enumerate(g)
-    # the masks are memoised next to psi, and rebuilt if the psi memo was replaced
-    keys = g.__dict__.get("_term_masks")
-    if keys is None or keys.psi is not psi_g:
-        keys = g.__dict__["_term_masks"] = _TermMasks(g, psi_g)
+    keys = _term_masks(g)
+    if keys.psi is not psi_g:  # the psi memo was replaced after the masks were built
+        keys = _TermMasks(g, psi_g)
     gm = 0
     for eid in gamma:
         gm |= keys.bit[eid]

@@ -277,6 +277,15 @@ def test_polynomials_match_constructor_oracle_in_order_and_type(data, g):
         assert exact_terms(psi_subgraph(g, gamma)) == exact_terms(want)
 
 
+@settings(max_examples=150, deadline=None)
+@given(g=decorated_multigraphs())
+def test_phi_and_xi_coefficients_are_positive(g):
+    # masses are nonnegative and every phi coefficient is a Euclidean square,
+    # so no xi leaves the Euclidean region and integrate need not check one
+    for poly in (phi(g), xi(g)):
+        assert all(c > 0 for c in poly.terms.values())
+
+
 def first_divergence_oracle(g, spec):
     """Scan the subsets, smallest first, for omega <= 0 with ord taken term by term."""
     polys = [(spec.numerator, 1)] + ([(xi(g), -spec.xi_power)] if spec.xi_power else [])

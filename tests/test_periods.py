@@ -335,6 +335,45 @@ def test_zero_xi_is_refused_whatever_the_numerator():
             run(g, spec)
 
 
+def massive_wheel4():
+    """Wheel-4 with every edge at mass 1 and one momentum through it."""
+    w4 = wheels(4)
+    return FeynmanGraph(
+        vertices=w4.vertices,
+        edges=tuple(Edge(e.id, e.ends, 1) for e in w4.edges),
+        legs=(ExternalLeg("h0", (1, 0, 0, 0)), ExternalLeg("r0.0", (-1, 0, 0, 0))),
+    )
+
+
+A1_OVER_PSI_XI = IntegrandSpec(parse_polynomial("a1"), psi_power=1, xi_power=1)
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        functools.partial(integrate, spec=A1_OVER_PSI_XI, samples=100),
+        lambda g: (SymanzikSet.of(g), symanzik.xi(g)),
+    ],
+    ids=["integrate", "symanzik-set-then-xi"],
+)
+def test_each_forest_sweep_runs_once_per_graph(monkeypatch, run):
+    # psi sweeps the spanning trees and phi the 2-forests, once per graph,
+    # whichever of the gate, SymanzikSet.of and xi asks first
+    convergent, _, _, certified = convergence(massive_wheel4(), A1_OVER_PSI_XI)
+    assert convergent and certified
+    sizes = []
+
+    def counted(pairs, size):
+        sizes.append(size)
+        return itertools.combinations(pairs, size)
+
+    monkeypatch.setattr(symanzik, "combinations", counted)
+    g = massive_wheel4()
+    run(g)
+    n = len(g.vertices)
+    assert sorted(sizes) == [n - 2, n - 1]  # one 2-forest sweep, one tree sweep
+
+
 def test_rejects_bad_inputs():
     triangle = FeynmanGraph(
         vertices=("x", "y", "z"),

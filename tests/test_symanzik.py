@@ -251,6 +251,25 @@ def test_psi_memo_is_invisible():
     for minor in (g.delete_edge(1), g.contract_subgraph((1, 2))):
         assert psi_enumerate(minor) != psi
         assert psi_enumerate(minor) == psi_determinant(minor)
+    # phi and xi are kept the same way, and stay as invisible as psi
+    assert phi(g) is phi(g) and xi(g) is xi(g)
+    assert g == twin and hash(g) == hash(twin) and repr(g) == repr(twin)
+    assert graph_to_dict(g) == doc
+    copy = pickle.loads(pickle.dumps(g))
+    assert copy == g and vars(copy).keys() == vars(g).keys()
+    assert (psi_enumerate(copy), phi(copy), xi(copy)) == (psi, phi(twin), xi(twin))
+    # minors get their own phi and xi: here with masses and a momentum through g
+    massive = graph_from_dict({
+        **doc,
+        "edges": [{**e, "mass_sq": str(e["id"])} for e in doc["edges"]],
+        "legs": [{"vertex": "hub", "momentum": [1, 0, 0, 0]},
+                 {"vertex": "r3", "momentum": [-1, 0, 0, 0]}],
+    })
+    massive_phi, massive_xi = phi(massive), xi(massive)
+    for minor in (massive.delete_edge(1), massive.contract_subgraph((1, 2))):
+        assert phi(minor) != massive_phi and xi(minor) != massive_xi
+        assert xi(minor) == phi(minor) + mass_term(minor) * psi_determinant(minor)
+    assert phi(massive) is massive_phi and xi(massive) is massive_xi
     # plant a wrong memo: psi_enumerate returns it, psi_determinant does not look
     [key] = [k for k, v in vars(g).items() if v is psi]
     vars(g)[key] = psi + 1
