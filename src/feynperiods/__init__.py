@@ -1,4 +1,9 @@
-"""Graph polynomials, parametric periods, zeta values, and their symmetries."""
+"""Graph polynomials, parametric periods, zeta values, and their symmetries.
+
+numpy is loaded by the first numeric evaluation, convergence test or
+``integrate`` call and the process pool by the first parallel ``integrate``,
+so exact polynomials, zeta values and Galois matrices run without either.
+"""
 
 from .divergence import (
     IntegrandSpec,

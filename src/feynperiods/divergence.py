@@ -35,8 +35,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import comb
 
-import numpy as np
-
 from .graphs import _classes, _edge_set, _require_connected
 from .polynomials import SparsePolynomial, _as_int
 from .symanzik import xi
@@ -85,6 +83,8 @@ def subgraph_loop_number(g, gamma):
 
 def _exponents(poly, ids):
     """(edges, terms) matrix of the exponent of each edge variable in each term."""
+    import numpy as np
+
     col = {eid: i for i, eid in enumerate(ids)}
     exps = np.zeros((len(ids), len(poly.terms)), dtype=np.int64)
     for t, key in enumerate(poly.terms):
@@ -106,6 +106,8 @@ def _first_divergence(g, psi_power, polys):
     two ends share a class, and otherwise merges their classes.  The walk
     stops at the first layer that holds a witness.
     """
+    import numpy as np
+
     edges = sorted(g.edges, key=lambda e: e.id)
     ids = [e.id for e in edges]
     n = len(ids)

@@ -45,22 +45,20 @@ Parallel calls run on one process pool per process.  It is created by the
 first call with ``workers > 1`` and reused while later calls ask for the
 same worker count; a call with another count shuts it down and starts a
 new one, so there is one pool at a time.  Its workers stay alive between
-calls and exit with the process.  If a worker dies, the call raises
+calls, and an exit handler shuts the pool down while the interpreter still
+has the modules its teardown needs.  If a worker dies, the call raises
 ``BrokenProcessPool`` and the next call starts a fresh pool.
 """
 
 from __future__ import annotations
 
+import atexit
 import functools
 import math
 import numbers
 import threading
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
-
-import numpy as np
 
 from .divergence import IntegrandSpec, convergence, projective_degree
 from .mzv import mzv_with_error
@@ -152,6 +150,8 @@ def _simplex(rng, m, n, b):
 
     Each block's Gamma(b) draws are taken from ``rng`` as the block is built.
     """
+    import numpy as np
+
     volume = _simplex_volume(n, b)
     for lo in range(0, m, _BLOCK):
         x = rng.standard_gamma(b, size=(min(_BLOCK, m - lo), n)).T.copy()
@@ -169,6 +169,8 @@ def _affine(rng, m, n):
 
     Each block's uniform draws are taken from ``rng`` as the block is built.
     """
+    import numpy as np
+
     for lo in range(0, m, _BLOCK):
         x = np.ones((n, min(_BLOCK, m - lo)))
         x[:-1] = rng.random(size=(x.shape[1], n - 1)).T
@@ -180,6 +182,8 @@ def _affine(rng, m, n):
 
 def _run_chunk(sampler, seed, samples, edge_ids, numerator, denominators, chunk):
     """(sum, sum of squares) over one chunk of weight * numerator / prod(poly ** power)."""
+    import numpy as np
+
     m = min(_CHUNK, samples - chunk * _CHUNK)
     rng = np.random.default_rng([seed, chunk])
     vals = np.empty(m)
@@ -201,6 +205,16 @@ _pool = None  # (workers, ProcessPoolExecutor): the one pool of this process
 _pool_lock = threading.Lock()
 
 
+@atexit.register
+def _shutdown_pool():
+    """Shut the pool down at exit, while the modules its teardown needs are still loaded."""
+    global _pool
+    with _pool_lock:
+        if _pool is not None:
+            _pool[1].shutdown()
+            _pool = None
+
+
 def _run_on_pool(workers, run_chunk, n_chunks):
     """Chunk results, in chunk order, from the process's pool of ``workers`` processes.
 
@@ -211,6 +225,9 @@ def _run_on_pool(workers, run_chunk, n_chunks):
     error re-raised, so the next call starts afresh.
     """
     global _pool
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
     with _pool_lock:
         if _pool is not None and _pool[0] != workers:
             _pool[1].shutdown()

@@ -20,8 +20,6 @@ import operator
 import re
 from fractions import Fraction
 
-import numpy as np
-
 Coeff = int | Fraction
 MonomialKey = tuple[tuple[int, int], ...]
 
@@ -274,6 +272,8 @@ class SparsePolynomial:
         itself (1.0*y == y).  Every term gets the same bits as a product
         built from scratch.
         """
+        import numpy as np
+
         cols = {v: np.asarray(x, dtype=float) for v, x in values.items()}
         shape = np.broadcast_shapes(*(c.shape for c in cols.values()))
         total = np.zeros(shape)

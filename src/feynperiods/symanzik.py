@@ -270,7 +270,9 @@ def phi(g):
     whose legs all carry zero momentum gets the zero polynomial.  The legs
     are summed per vertex once, and each square (q^{T1})^2 is computed once
     per leg partition: forests whose first tree holds the same leg-carrying
-    vertices share it.
+    vertices share it.  T1 is the tree of the smallest vertex, which is a
+    root of the union-find array, so only the leg-carrying vertices are
+    walked to their roots.
     """
     _require_connected(g, "phi")
     if not g.momentum_conserved():
@@ -280,15 +282,22 @@ def phi(g):
         acc = by_vertex.setdefault(leg.vertex, [Fraction(0)] * 4)
         for i, q in enumerate(leg.momentum):
             acc[i] += q
+    legged = [(i, v) for i, v in enumerate(sorted(g.vertices)) if v in by_vertex]
     squares = {}  # leg-carrying vertices of T1 -> (q^{T1})^2
     forests = []
-    for (edges_a, verts_a), (edges_b, _) in spanning_two_forests(g):
-        part = tuple(v for v in verts_a if v in by_vertex)
+    for edge_ids, parent in _spanning_forests(g, 2):
+        part = []
+        for i, v in legged:
+            while parent[i] != i:
+                i = parent[i]
+            if i == 0:
+                part.append(v)
+        part = tuple(part)
         coeff = squares.get(part)
         if coeff is None:
             total = [sum(qs, Fraction(0)) for qs in zip(*(by_vertex[v] for v in part))]
             coeff = squares[part] = sum(q * q for q in total)
-        forests.append((edges_a + edges_b, coeff))
+        forests.append((edge_ids, coeff))
     return _complement_sum(g, forests)
 
 

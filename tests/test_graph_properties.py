@@ -322,16 +322,39 @@ def test_convergence_matches_subset_scan(data, g):
     assert numerator.is_zero() or projective_degree(g, spec) == 0
 
     certified = xi_power == 0 or all(e.mass_sq > 0 for e in g.edges)
-    if numerator.is_zero():
-        assert convergence(g, spec) == (True, None, None, certified)
-    elif xi_power and xi(g).is_zero():
+    if xi_power and xi(g).is_zero():  # refused whatever the numerator, a zero one too
         with pytest.raises(ValueError, match="xi vanishes identically"):
             convergence(g, spec)
+    elif numerator.is_zero():
+        assert convergence(g, spec) == (True, None, None, certified)
     else:
         witness, omega = first_divergence_oracle(g, spec)
         assert convergence(g, spec) == (witness is None, witness, omega, certified)
     witness, _ = first_divergence_oracle(g, IntegrandSpec())
     assert is_primitive(g) == (witness is None, witness)
+
+
+@pytest.mark.parametrize(
+    "g, spec",
+    [
+        (
+            FeynmanGraph(vertices=("u",), edges=(Edge(1, ("u", "u")),)),
+            IntegrandSpec(
+                numerator=parse_polynomial("a1") - parse_polynomial("a1"), psi_power=0, xi_power=1
+            ),
+        ),
+        (
+            FeynmanGraph(vertices=("u", "b", "q"), edges=(Edge(1, ("u", "b")), Edge(2, ("b", "q")))),
+            IntegrandSpec(numerator=SparsePolynomial.one() - 1, psi_power=0, xi_power=2),
+        ),
+    ],
+    ids=["massless-self-loop", "tree"],
+)
+def test_zero_xi_is_refused_before_a_zero_numerator_converges(g, spec):
+    # xi is 0 with no legs and no masses: the zero-xi refusal comes first
+    assert spec.numerator.is_zero() and xi(g).is_zero()
+    with pytest.raises(ValueError, match="xi vanishes identically"):
+        convergence(g, spec)
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,0 +1,58 @@
+"""The import graph: exact and number work loads neither numpy nor the process pool."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+SCRIPT = r"""
+import contextlib
+import io
+import math
+import sys
+
+HEAVY = ("numpy", "multiprocessing", "concurrent.futures.process")
+
+
+def loaded():
+    return [name for name in HEAVY if name in sys.modules]
+
+
+import feynperiods
+from feynperiods import cli
+
+assert loaded() == [], ("import feynperiods", loaded())
+k4 = feynperiods.load_graph("fixtures/k4.json")
+feynperiods.mzv_with_error((3, 5), 12)
+feynperiods.rep_zeta35(feynperiods.GaloisElement(lam=2, sigma={3: 1, 5: -1}, sigma35=3))
+feynperiods.SymanzikSet.of(k4)
+assert loaded() == [], ("exact and number layers", loaded())
+for argv in (
+    ["zeta", "3,5", "--digits", "12"],
+    ["galois", "check-ratio", "12", "29"],
+    ["symanzik", "fixtures/k4.json"],
+):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.run(argv) == 0, argv
+    assert loaded() == [], (argv, loaded())
+
+assert feynperiods.is_primitive(k4) == (True, None)
+assert loaded() == ["numpy"], ("is_primitive", loaded())
+est = feynperiods.integrate(k4, samples=2 * 2**18, seed=3, workers=2)
+assert math.isfinite(est.value) and est.std_error > 0, est
+assert loaded() == list(HEAVY), ("integrate", loaded())
+print("ok")
+"""
+
+
+def test_exact_and_number_work_loads_neither_numpy_nor_the_pool():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", SCRIPT], cwd=ROOT, env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+    # empty stderr: the pool also shuts down at exit without an "Exception ignored" line
+    assert (done.returncode, done.stdout, done.stderr) == (0, "ok\n", "")

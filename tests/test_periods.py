@@ -251,6 +251,17 @@ def test_pool_is_reused_replaced_and_restarted():
     assert run(2) == pinned and periods._pool[1] is not pool
 
 
+def test_exit_handler_shuts_the_pool_down():
+    # registered with atexit, so the pool goes while concurrent.futures is still loaded
+    integrate(banana(), samples=2 * _CHUNK, seed=1, workers=2)
+    procs = list(periods._pool[1]._processes.values())
+    periods._shutdown_pool()
+    assert periods._pool is None and all(proc.exitcode is not None for proc in procs)
+    periods._shutdown_pool()  # a second call finds no pool
+    integrate(banana(), samples=2 * _CHUNK, seed=1, workers=2)
+    assert periods._pool[0] == 2
+
+
 def test_boundary_bias_weight_is_unbiased():
     # integrand is exactly 1, so the estimate is the mean importance weight
     est = integrate(banana(), samples=50_000, seed=3, boundary_bias=0.7)
