@@ -171,7 +171,9 @@ def convergence(g, spec):
     converges), and a table layer of more than ``_LAYER_CELLS`` entries
     (subsets times vertices plus terms), before it is built: with 1/psi^2
     a primitive graph passes up to 10 loops (20 edges, 11 vertices).  With
-    B > 0, xi (a full 2-forest sweep, kept on ``g``) is built before that cap.
+    B > 0, xi (kept on ``g``) is built before that cap: a zero xi, with no
+    mass and no vertex carrying net momentum, sweeps no forest, and any
+    other xi sweeps the 2-forests.
     """
     _require_connected(g, "convergence test")
     unknown = set(spec.numerator.variables()).difference(g.edge_ids())

@@ -57,9 +57,13 @@ def _classes(vertices, pairs):
 
 
 def _edge_set(g, edge_ids):
-    """The distinct ids of ``edge_ids``, sorted; the smallest unknown id is an error."""
+    """The distinct ids of ``edge_ids``, sorted; the smallest unknown id is an error.
+
+    Each id is read by ``_as_int`` before the lookup, so a bool or a float that
+    compares equal to an id is still refused.
+    """
     ids = {_as_int("edge id", eid) for eid in edge_ids}
-    unknown = ids.difference(g.edge_ids())
+    unknown = ids.difference(_edge_id_set(g))
     if unknown:
         raise ValueError(f"no edge with id {min(unknown)}")
     return tuple(sorted(ids))
@@ -86,6 +90,12 @@ def _once_per_graph(build):
         return value
 
     return once
+
+
+@_once_per_graph
+def _edge_id_set(g):
+    """The graph's edge ids as a frozenset, for :func:`_edge_set`'s lookups."""
+    return frozenset(g.edge_ids())
 
 
 @dataclass(frozen=True)

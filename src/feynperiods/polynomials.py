@@ -145,12 +145,12 @@ class SparsePolynomial:
         other = self._lift(other)
         if other is NotImplemented:
             return NotImplemented
-        terms = dict(self.terms)
-        for key, c in other.terms.items():
-            s = _normalize_coeff(terms.get(key, 0) + c)
+        terms = {**self.terms, **other.terms}  # a shared key keeps self's position
+        for key in self.terms.keys() & other.terms.keys():
+            s = _normalize_coeff(self.terms[key] + other.terms[key])
             if s:
                 terms[key] = s
-            elif key in terms:
+            else:
                 del terms[key]
         return SparsePolynomial.from_canonical(terms)
 

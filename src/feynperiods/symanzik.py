@@ -266,13 +266,15 @@ def psi_determinant(g):
 def phi(g):
     """Momentum polynomial (spanning-2-forest sum with squared momenta).
 
-    Requires exact momentum conservation of the external legs.  A graph
-    whose legs all carry zero momentum gets the zero polynomial.  The legs
-    are summed per vertex once, and each square (q^{T1})^2 is computed once
-    per leg partition: forests whose first tree holds the same leg-carrying
-    vertices share it.  T1 is the tree of the smallest vertex, which is a
-    root of the union-find array, so only the leg-carrying vertices are
-    walked to their roots.
+    Requires exact momentum conservation of the external legs.  When no
+    vertex carries net momentum every (q^{T1})^2 is 0, so phi is the zero
+    polynomial and no forest is swept; otherwise phi is nonzero, since a
+    spanning tree of G has an edge whose two sides carry nonzero momentum.
+    Each square (q^{T1})^2 is computed once per leg partition: forests
+    whose first tree holds the same momentum-carrying vertices share it.
+    T1 is the tree of the smallest vertex, which is a root of the
+    union-find array, so only the momentum-carrying vertices are walked to
+    their roots.
     """
     _require_connected(g, "phi")
     if not g.momentum_conserved():
@@ -282,8 +284,11 @@ def phi(g):
         acc = by_vertex.setdefault(leg.vertex, [Fraction(0)] * 4)
         for i, q in enumerate(leg.momentum):
             acc[i] += q
+    by_vertex = {v: q for v, q in by_vertex.items() if any(q)}
+    if not by_vertex:
+        return SparsePolynomial.zero()
     legged = [(i, v) for i, v in enumerate(sorted(g.vertices)) if v in by_vertex]
-    squares = {}  # leg-carrying vertices of T1 -> (q^{T1})^2
+    squares = {}  # momentum-carrying vertices of T1 -> (q^{T1})^2
     forests = []
     for edge_ids, parent in _spanning_forests(g, 2):
         part = []
@@ -310,8 +315,12 @@ def mass_term(g):
 
 @_once_per_graph
 def xi(g):
-    """``phi + (sum_e m_e^2 a_e) * psi``: the full denominator polynomial."""
-    return phi(g) + mass_term(g) * psi_enumerate(g)
+    """``phi + (sum_e m_e^2 a_e) * psi``: the full denominator polynomial.
+
+    Without masses xi is phi, and psi is not built for it.
+    """
+    m = mass_term(g)
+    return phi(g) + (m if m.is_zero() else m * psi_enumerate(g))
 
 
 @dataclass(frozen=True)

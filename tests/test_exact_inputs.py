@@ -121,13 +121,15 @@ GRAPHS = {
 )
 def test_edge_id_arguments_follow_the_policy(graph, value, integer):
     g = GRAPHS[graph]()
+    g.edge_by_id(3)  # keeps the graph's edge-id set, which every lookup below reads
     ids = value if isinstance(value, tuple) else (3, value)
     for name, call in EDGE_ID_ARGUMENTS.items():
-        if integer is None:
-            with pytest.raises(ValueError, match="edge id must be an integer"):
-                call(g, ids)
-        elif isinstance(integer, str):
-            with pytest.raises(ValueError, match=integer):
-                call(g, ids)
-        else:
-            assert call(g, ids) == call(g, (3, 2)), name
+        for _ in range(2):  # a reader answers the same on the same graph
+            if integer is None:
+                with pytest.raises(ValueError, match="edge id must be an integer"):
+                    call(g, ids)
+            elif isinstance(integer, str):
+                with pytest.raises(ValueError, match=integer):
+                    call(g, ids)
+            else:
+                assert call(g, ids) == call(g, (3, 2)), name

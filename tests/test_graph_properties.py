@@ -392,8 +392,8 @@ def test_determinant_equals_leibniz_sum(data, n):
 
 
 @settings(max_examples=100, deadline=None)
-@given(p=polynomials(), q=polynomials(), r=polynomials())
-def test_polynomial_ring_axioms(p, q, r):
+@given(p=polynomials(), q=polynomials(), r=polynomials(), shift=st.integers(0, 3))
+def test_polynomial_ring_axioms(p, q, r, shift):
     zero, one = SparsePolynomial.zero(), SparsePolynomial.one()
     assert (p + q) + r == p + (q + r)
     assert p + q == q + p
@@ -402,6 +402,20 @@ def test_polynomial_ring_axioms(p, q, r):
     assert p * (q + r) == p * q + p * r
     assert p + zero == p and p * one == p
     assert p - p == zero
+    # a sum is the validating constructor on the joined term lists, in order
+    # and type; q's nonconstant terms moved past p's variables share no key
+    # with p, so every example also sums with nothing to merge
+    top = max(p.variables(), default=0) + shift
+    apart = SparsePolynomial.from_canonical(
+        {tuple((v + top, e) for v, e in key): c for key, c in q.terms.items() if key}
+    )
+    for other in (q, apart):
+        assert exact_terms(p + other) == exact_terms(
+            SparsePolynomial([*p.terms.items(), *other.terms.items()])
+        )
+        assert exact_terms(p - other) == exact_terms(
+            SparsePolynomial([*p.terms.items(), *((k, -c) for k, c in other.terms.items())])
+        )
 
 
 @settings(max_examples=100, deadline=None)

@@ -320,9 +320,19 @@ TWO_WHEELS = wheels(4, 4)
              "spanning tree enumeration needs a connected graph (components: 2)")
             for f in (spanning_trees, psi_enumerate, SymanzikSet.of)
         ],
+        # a massless wheel-5 with no legs: its zero xi is built with no forest sweep
+        *[
+            (functools.partial(run, wheels(5), spec),
+             "xi vanishes identically; the integrand is singular")
+            for run, spec in (
+                (convergence, IntegrandSpec(psi_power=0, xi_power=1)),
+                (integrate, IntegrandSpec(parse_polynomial("a1"), psi_power=1, xi_power=1)),
+            )
+        ],
     ],
     ids=["integrate-two-wheels", "integrate-w12", "integrate-fourgraph",
-         "spanning-trees", "psi-enumerate", "symanzik-set"],
+         "spanning-trees", "psi-enumerate", "symanzik-set",
+         "convergence-zero-xi", "integrate-zero-xi"],
 )
 def test_nothing_is_enumerated_before_a_refusal(monkeypatch, run, message):
     calls = []
@@ -346,13 +356,13 @@ def test_zero_xi_is_refused_whatever_the_numerator():
             run(g, spec)
 
 
-def massive_wheel4():
-    """Wheel-4 with every edge at mass 1 and one momentum through it."""
+def massive_wheel4(legs=(ExternalLeg("h0", (1, 0, 0, 0)), ExternalLeg("r0.0", (-1, 0, 0, 0)))):
+    """Wheel-4 with every edge at mass 1 and, by default, one momentum through it."""
     w4 = wheels(4)
     return FeynmanGraph(
         vertices=w4.vertices,
         edges=tuple(Edge(e.id, e.ends, 1) for e in w4.edges),
-        legs=(ExternalLeg("h0", (1, 0, 0, 0)), ExternalLeg("r0.0", (-1, 0, 0, 0))),
+        legs=legs,
     )
 
 
@@ -383,6 +393,27 @@ def test_each_forest_sweep_runs_once_per_graph(monkeypatch, run):
     run(g)
     n = len(g.vertices)
     assert sorted(sizes) == [n - 2, n - 1]  # one 2-forest sweep, one tree sweep
+
+
+@pytest.mark.parametrize(
+    "legs",
+    [(), (ExternalLeg("h0", (1, 0, 0, 0)), ExternalLeg("h0", (-1, 0, 0, 0)))],
+    ids=["no-legs", "two-legs-on-one-vertex"],
+)
+def test_phi_without_net_momentum_sweeps_no_forest(monkeypatch, legs):
+    # no vertex carries net momentum, so every (q^T1)^2 is 0: phi is zero
+    # without a 2-forest sweep, and xi is the mass term times psi
+    sizes = []
+
+    def counted(pairs, size):
+        sizes.append(size)
+        return itertools.combinations(pairs, size)
+
+    monkeypatch.setattr(symanzik, "combinations", counted)
+    g = massive_wheel4(legs)
+    s = SymanzikSet.of(g)
+    assert s.phi.is_zero() and s.xi == symanzik.mass_term(g) * s.psi
+    assert sizes == [len(g.vertices) - 1]  # the tree sweep alone
 
 
 def test_rejects_bad_inputs():

@@ -9,6 +9,7 @@ from feynperiods.graphs import (
     Edge,
     ExternalLeg,
     FeynmanGraph,
+    _edge_id_set,
     graph_from_dict,
     graph_to_dict,
     load_graph,
@@ -238,9 +239,13 @@ def test_psi_memo_is_invisible():
     assert psi_enumerate(g) is psi
     split = partial_factor_psi(g, (1, 2))  # memoises the term masks next to psi
     twin = graph_from_dict(doc)
+    # the split read gamma through graphs._edge_set, which keeps the edge-id set on g
+    assert _edge_id_set(g) is _edge_id_set(g) == frozenset(e["id"] for e in doc["edges"])
+    assert any(vars(g)[k] is _edge_id_set(g) for k in vars(g).keys() - vars(twin).keys())
     assert g == twin and hash(g) == hash(twin) and repr(g) == repr(twin)
     assert graph_to_dict(g) == doc
     assert pickle.loads(pickle.dumps(g)) == g
+    assert pickle.loads(pickle.dumps(g)) == twin
     # the memo and the masks travel with a pickled graph and stay consistent
     copy = pickle.loads(pickle.dumps(g))
     assert vars(copy).keys() == vars(g).keys()
