@@ -1,8 +1,8 @@
 """Graph polynomials, parametric periods, zeta values, and their symmetries.
 
-numpy is loaded by the first numeric evaluation, convergence test or
-``integrate`` call and the process pool by the first parallel ``integrate``,
-so exact polynomials, zeta values and Galois matrices run without either.
+numpy is loaded by the first numeric evaluation or Monte Carlo chunk and the
+process pool by the first parallel ``integrate``, so exact polynomials,
+convergence tests, zeta values and Galois matrices run without either.
 """
 
 from .divergence import (

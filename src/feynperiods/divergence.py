@@ -28,20 +28,33 @@ with B > 0 and a massless edge is not ``certified``.  For ``1/psi^2``
 omega(gamma) = |gamma| - 2*h_gamma, and a graph passing the test is
 "primitive"; a subgraph failing with equality marks a logarithmic
 subdivergence.
+
+No graph polynomial is built: with xi not identically zero,
+
+    ord_gamma(xi) = h_gamma + delta_gamma,
+
+where delta_gamma = 1 when gamma holds every massive edge and every vertex
+class of gamma (a vertex gamma does not touch is a class of its own)
+carries zero net external momentum, and 0 otherwise.  The lowest
+gamma-degree part of xi_G is psi_gamma * xi_{G/gamma}, and xi_{G/gamma}
+vanishes exactly then, leaving xi_gamma * psi_{G/gamma} one degree up; all
+coefficients are positive, so nothing cancels.  xi is identically zero
+when no edge is massive and no vertex carries net momentum.  One walk over
+the edge subsets, smallest first, reads h_gamma and the classes off edge
+bitmasks and the numerator's order off its exponents.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import comb
+from math import comb, lcm
 
 from .graphs import _classes, _edge_set, _require_connected
 from .polynomials import SparsePolynomial, _as_int
-from .symanzik import xi
+from .symanzik import _net_momenta
 
-# entries of one layer of the subset table, one per subset and vertex or
-# polynomial term (at most 8 bytes each); a larger layer is refused before
-# it is built
+# cells of one layer of the subset walk, one per subset and vertex or
+# numerator term; a larger layer is refused before it is built
 _LAYER_CELLS = 1 << 21
 
 
@@ -81,46 +94,98 @@ def subgraph_loop_number(g, gamma):
     return len(edges) - len(verts) + comps
 
 
-def _exponents(poly, ids):
-    """(edges, terms) matrix of the exponent of each edge variable in each term."""
-    import numpy as np
+def _packed_flows(g, index):
+    """``(vertex index, packed net momentum)`` of each vertex that carries one.
 
-    col = {eid: i for i, eid in enumerate(ids)}
-    exps = np.zeros((len(ids), len(poly.terms)), dtype=np.int64)
-    for t, key in enumerate(poly.terms):
-        for v, e in key:
-            exps[col[v], t] = e
-    return exps
+    The components, scaled to integers by their common denominator, are packed
+    as q0 + q1*K + q2*K^2 + q3*K^3 with K above twice the sum of their sizes,
+    so a sum of packed momenta is 0 exactly when each component sums to 0.
+    """
+    momenta = _net_momenta(g)
+    scale = lcm(*(q.denominator for qs in momenta.values() for q in qs))
+    scaled = {v: [int(q * scale) for q in qs] for v, qs in momenta.items()}
+    k = 2 * sum(abs(q) for qs in scaled.values() for q in qs) + 1
+    return [(index[v], sum(q * k**i for i, q in enumerate(qs))) for v, qs in scaled.items()]
 
 
-def _first_divergence(g, psi_power, polys):
+def _merge(merges, a, b):
+    """Keep and return in ``merges[a][b]`` the table that relabels max(a, b) as min(a, b)."""
+    table = merges[a][b] = bytes.maketrans(bytes([max(a, b)]), bytes([min(a, b)]))
+    return table
+
+
+def _first_divergence(g, spec):
     """The first edge set with omega <= 0, and its omega, or ``(None, None)``.
 
-    ``polys`` lists ``(polynomial, weight)`` pairs, each adding weight *
-    ord_gamma(polynomial) to omega.  The table is built layer by layer, one
-    layer per subset size; a layer's rows are its subsets in lexicographic
-    order, each kept as its parent row and largest edge, its vertex classes
-    (one label per vertex, shared by the vertices it joins), its loop number
-    and, per polynomial, the gamma-degree of every term.  A row of the next
-    layer is a row plus one larger edge: that edge closes a loop when its
-    two ends share a class, and otherwise merges their classes.  The walk
-    stops at the first layer that holds a witness.
-    """
-    import numpy as np
+    One walk in Python, a layer per subset size, each layer's sets in
+    lexicographic order as three parallel lists (built faster than one list
+    of tuples): edge masks (bit i for the i-th smallest edge id), vertex
+    classes (a byte per vertex, the smallest vertex index of its class) and
+    loop numbers.  A child adds one edge above its parent's largest; the
+    edge closes a loop when its ends share a class, and otherwise one
+    ``bytes.translate`` relabels the larger class as the smaller.
+    ord_S(P) is the least, over P's terms, of the sum over the term's
+    distinct exponents e of (e minus the next lower one) times the popcount
+    of the mask with the term's edges of exponent at least e.  ord_S(xi) is
+    h_S + delta_S (module docstring).
 
-    edges = sorted(g.edges, key=lambda e: e.id)
-    ids = [e.id for e in edges]
+    Every set left untested has omega > 0.  The empty set has omega 0, and
+    a child that closes no loop and leaves delta_S at its parent's value
+    has one edge more, the same h and no lower ord_S(P), so its omega is
+    at least its parent's plus 1.  A child that closes a loop is tested
+    when size - (A + B) * h <= B, as ord_S(P) >= 0 and delta_S <= 1, and
+    one that merges two classes when it holds every massive edge, so that
+    delta_S may turn 1.  The walk stops at the first failing set and keeps
+    no layer that no later layer extends.
+    """
+    ids = sorted(g.edge_ids())
     n = len(ids)
+    bit = {eid: 1 << i for i, eid in enumerate(ids)}
     index = {v: i for i, v in enumerate(sorted(g.vertices))}
-    ends = np.array([[index[v] for v in e.ends] for e in edges], dtype=np.intp).reshape(n, 2)
-    exps = [(_exponents(poly, ids), weight) for poly, weight in polys]
-    # layer 0: the empty set
-    last = np.full(1, -1)
-    classes = np.arange(len(index), dtype=np.min_scalar_type(len(index)))[None, :]
-    loops = np.zeros(1, dtype=np.int64)
-    degrees = [np.zeros((1, m.shape[1]), dtype=np.int64) for m, _ in exps]
-    layers = []  # (parent row, added edge) of every row, layer by layer
-    width = len(index) + sum(m.shape[1] for m, _ in exps)
+    if len(index) > 256:
+        raise ValueError(
+            f"the convergence test labels vertex classes in one byte: {len(index)} vertices, "
+            "more than 256"
+        )
+    ends = [[index[v] for v in e.ends] for e in sorted(g.edges, key=lambda e: e.id)]
+    # the edges from each position on: (bit, its two ends, whether an edge follows it)
+    tails = [[(1 << j, *ends[j], j + 1 < n) for j in range(first, n)] for first in range(n + 1)]
+    levels = []  # per numerator term: (step, mask) of each level
+    if spec.numerator.is_homogeneous() != 0:
+        for key in spec.numerator.terms:
+            steps, below = [], 0
+            for e in sorted({e for _, e in key}):
+                steps.append((e - below, sum(bit[v] for v, x in key if x >= e)))
+                below = e
+            levels.append(steps)
+    width = len(index) + len(levels)
+    xi_power = spec.xi_power
+    closed = spec.psi_power + xi_power  # omega's weight on h_S
+    massive = sum(bit[e.id] for e in g.edges if e.mass_sq)
+    flows = _packed_flows(g, index) if xi_power else []
+    balanced = {}  # classes -> whether every class carries zero net momentum
+
+    # the helpers read spec rather than closed and xi_power: a local that a
+    # nested function reads becomes a cell, slower to reach in the loop
+    def omega(size, mask, classes, h):
+        w = size - (spec.psi_power + spec.xi_power) * h
+        if spec.xi_power and mask & massive == massive:
+            zero = balanced.get(classes)
+            if zero is None:
+                sums = {}
+                for i, q in flows:
+                    sums[classes[i]] = sums.get(classes[i], 0) + q
+                zero = balanced[classes] = not any(sums.values())
+            w -= spec.xi_power * zero
+        if w <= 0 and levels:
+            w += min(sum(step * (mask & level).bit_count() for step, level in t) for t in levels)
+        return w
+
+    def found(mask, w):
+        return tuple(eid for i, eid in enumerate(ids) if mask >> i & 1), w
+
+    merges = [[None] * len(index) for _ in index]  # filled by _merge
+    masks, partitions, loop_numbers = [0], [bytes(range(len(index)))], [0]
     for size in range(1, n):
         subsets = comb(n, size)
         if subsets * width > _LAYER_CELLS:
@@ -129,30 +194,30 @@ def _first_divergence(g, psi_power, polys):
                 f"for the {subsets} subsets of size {size}, more than the {_LAYER_CELLS} "
                 "one layer may hold"
             )
-        counts = n - 1 - last
-        parent = np.repeat(np.arange(len(counts)), counts)
-        rows = np.arange(len(parent))
-        # a parent's children add the edges last+1 .. n-1; its first child's
-        # row is cumsum(counts) - counts
-        last = rows + (n - np.cumsum(counts))[parent]
-        layers.append((parent, last))
-        classes = classes[parent]
-        a, b = classes[rows, ends[last].T]
-        loops = loops[parent] + (a == b)
-        classes = np.where(classes == b[:, None], a[:, None], classes)
-        omega = size - psi_power * loops
-        for i, (m, weight) in enumerate(exps):
-            degrees[i] = degrees[i][parent] + m[last]
-            omega = omega + weight * degrees[i].min(axis=1)
-        failing = omega <= 0
-        if failing.any():
-            row = int(failing.argmax())
-            value = int(omega[row])
-            witness = []
-            for parent, edge in reversed(layers):
-                witness.append(ids[edge[row]])
-                row = parent[row]
-            return tuple(reversed(witness)), value
+        keep = size + 1 < n and comb(n, size + 1) * width <= _LAYER_CELLS
+        # the least h at which a child that closes a loop is tested
+        fallible = -(-(size - xi_power) // closed) if closed else n
+        next_masks, next_partitions, next_loop_numbers = [], [], []
+        add_mask, add_classes, add_loops = (
+            next_masks.append, next_partitions.append, next_loop_numbers.append
+        )
+        for mask, classes, loops in zip(masks, partitions, loop_numbers):
+            for b, u, v, more in tails[mask.bit_length()]:
+                cu, cv = classes[u], classes[v]
+                if cu == cv:
+                    h, joined = loops + 1, classes
+                    if h >= fallible and (w := omega(size, mask | b, joined, h)) <= 0:
+                        return found(mask | b, w)
+                else:
+                    h, joined = loops, classes.translate(merges[cu][cv] or _merge(merges, cu, cv))
+                    if (xi_power and (mask | b) & massive == massive
+                            and (w := omega(size, mask | b, joined, h)) <= 0):
+                        return found(mask | b, w)
+                if more and keep:
+                    add_mask(mask | b)
+                    add_classes(joined)
+                    add_loops(h)
+        masks, partitions, loop_numbers = next_masks, next_partitions, next_loop_numbers
     return None, None
 
 
@@ -166,31 +231,29 @@ def convergence(g, spec):
     proves divergence.  ``certified`` is true when the test is also
     sufficient: B = 0 or every edge is massive (see the module docstring).
     Refused in this order: a disconnected graph, a numerator variable that
-    names no edge, a power or numerator degree of 2^31 or more, a zero xi
-    with B > 0 (whatever the numerator; a zero numerator otherwise
-    converges), and a table layer of more than ``_LAYER_CELLS`` entries
-    (subsets times vertices plus terms), before it is built: with 1/psi^2
-    a primitive graph passes up to 10 loops (20 edges, 11 vertices).  With
-    B > 0, xi (kept on ``g``) is built before that cap: a zero xi, with no
-    mass and no vertex carrying net momentum, sweeps no forest, and any
-    other xi sweeps the 2-forests.
+    names no edge, a power or numerator degree of 2^31 or more, external
+    momenta that do not sum to zero (with B > 0), a zero xi with B > 0 (no
+    massive edge and no vertex with net momentum, whatever the numerator; a
+    zero numerator otherwise converges), more than 256 vertices, and a layer
+    of more than ``_LAYER_CELLS`` entries (subsets times vertices plus
+    numerator terms), before it is built: with 1/psi^2 a primitive graph
+    passes up to 10 loops (20 edges, 11 vertices).  No graph polynomial is
+    built and no forest is swept.
     """
     _require_connected(g, "convergence test")
     unknown = set(spec.numerator.variables()).difference(g.edge_ids())
     if unknown:
         raise ValueError(f"numerator variable a{min(unknown)} names no edge of the graph")
-    # keeps every omega of the int64 table exact
+    # omega is an exact Python int at any size, but a power this large
+    # overflows or underflows every floating sample of the integrand
     if max(spec.psi_power, spec.xi_power, spec.numerator.total_degree()) >= 1 << 31:
         raise ValueError("the convergence test needs powers and a numerator degree below 2^31")
     certified = spec.xi_power == 0 or all(e.mass_sq > 0 for e in g.edges)
-    polys = [] if spec.numerator.is_homogeneous() == 0 else [(spec.numerator, 1)]
-    if spec.xi_power:
-        if xi(g).is_zero():
-            raise ValueError("xi vanishes identically; the integrand is singular")
-        polys.append((xi(g), -spec.xi_power))
+    if spec.xi_power and not _net_momenta(g) and not any(e.mass_sq for e in g.edges):
+        raise ValueError("xi vanishes identically; the integrand is singular")
     if spec.numerator.is_zero():
         return (True, None, None, certified)
-    witness, omega = _first_divergence(g, spec.psi_power, polys)
+    witness, omega = _first_divergence(g, spec)
     return (witness is None, witness, omega, certified)
 
 

@@ -260,9 +260,10 @@ def integrate(
     or given to the affine chart; a projective degree other than 0; fewer
     than two edges; a Dirichlet chart volume that overflows; then the one
     gate for integrability, :func:`feynperiods.divergence.convergence`:
-    connectivity, numerator variables, powers, table size, a zero xi, and
-    a subgraph with omega <= 0, named with its omega.  Nothing is built
-    before the gate.  Where the test is not certified (a xi power and a
+    connectivity, numerator variables, powers, momentum conservation and a
+    zero xi, vertex count and layer size, and a subgraph with omega <= 0,
+    named with its omega.  Nothing is built before the gate, and the gate
+    builds no polynomial.  Where the test is not certified (a xi power and a
     massless edge) and finds no witness, the integral runs as any other.
     Returns a :class:`PeriodEstimate`; the estimate is exact in
     expectation, and the reported standard error is the usual sample
@@ -295,7 +296,7 @@ def integrate(
         raise ValueError(
             f"the integral diverges: subgraph {{{', '.join(map(str, witness))}}} has omega {omega}"
         )
-    powers = ((psi_enumerate, spec.psi_power), (xi, spec.xi_power))  # g keeps the gate's xi
+    powers = ((psi_enumerate, spec.psi_power), (xi, spec.xi_power))  # each built once, kept on g
     denominators = [(poly(g), power) for poly, power in powers if power]
     numerator = spec.numerator if spec.numerator != 1 else None
     run_chunk = functools.partial(

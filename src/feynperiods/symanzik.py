@@ -262,6 +262,21 @@ def psi_determinant(g):
     return _complement_sum(g, [([v for v, _ in key], c) for key, c in kirchhoff.terms.items()])
 
 
+def _net_momenta(g):
+    """The net incoming momentum of each vertex whose momentum is not zero.
+
+    Refused unless the external momenta sum to zero.
+    """
+    if not g.momentum_conserved():
+        raise ValueError("external momenta do not sum to zero")
+    by_vertex = {}
+    for leg in g.legs:
+        acc = by_vertex.setdefault(leg.vertex, [Fraction(0)] * 4)
+        for i, q in enumerate(leg.momentum):
+            acc[i] += q
+    return {v: q for v, q in by_vertex.items() if any(q)}
+
+
 @_once_per_graph
 def phi(g):
     """Momentum polynomial (spanning-2-forest sum with squared momenta).
@@ -277,14 +292,7 @@ def phi(g):
     their roots.
     """
     _require_connected(g, "phi")
-    if not g.momentum_conserved():
-        raise ValueError("external momenta do not sum to zero")
-    by_vertex = {}
-    for leg in g.legs:
-        acc = by_vertex.setdefault(leg.vertex, [Fraction(0)] * 4)
-        for i, q in enumerate(leg.momentum):
-            acc[i] += q
-    by_vertex = {v: q for v, q in by_vertex.items() if any(q)}
+    by_vertex = _net_momenta(g)
     if not by_vertex:
         return SparsePolynomial.zero()
     legged = [(i, v) for i, v in enumerate(sorted(g.vertices)) if v in by_vertex]

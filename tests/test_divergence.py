@@ -162,6 +162,22 @@ def test_layer_limit_refuses_before_building_the_layer():
     assert peak < comb(40, 5) * len(w20.vertices)
 
 
+def cycle(n):
+    return graph_from_dict({
+        "vertices": [f"v{i}" for i in range(n)],
+        "edges": [{"id": i + 1, "ends": [f"v{i}", f"v{(i + 1) % n}"]} for i in range(n)],
+    })
+
+
+def test_vertex_classes_fit_in_one_byte():
+    # 256 vertices label their classes in one byte: the single edges pass,
+    # and the pairs are refused by the layer cap
+    with pytest.raises(ValueError, match="on 256 edges needs 8355840 table entries"):
+        is_primitive(cycle(256))
+    with pytest.raises(ValueError, match="257 vertices, more than 256"):
+        is_primitive(cycle(257))
+
+
 def test_phi4_eligibility():
     assert is_phi4(k4)
     assert is_phi4(wheel4)  # the hub has exactly four spokes

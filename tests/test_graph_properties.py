@@ -17,7 +17,7 @@ from feynperiods.divergence import (
     projective_degree,
     subgraph_loop_number,
 )
-from feynperiods.graphs import Edge, ExternalLeg, FeynmanGraph
+from feynperiods.graphs import Edge, ExternalLeg, FeynmanGraph, _classes
 from feynperiods.polynomials import SparsePolynomial, _term_sort_key, parse_polynomial
 from feynperiods.symanzik import (
     Factorization,
@@ -284,6 +284,30 @@ def test_phi_and_xi_coefficients_are_positive(g):
     # so no xi leaves the Euclidean region and integrate need not check one
     for poly in (phi(g), xi(g)):
         assert all(c > 0 for c in poly.terms.values())
+
+
+@settings(max_examples=150, deadline=None)
+@given(g=decorated_multigraphs())
+def test_xi_order_is_loop_number_plus_the_class_rule(g):
+    # ord_S(xi) = h_S + delta_S, where delta_S = 1 exactly when S holds every
+    # massive edge and every vertex class of S (a vertex S does not touch is
+    # a class of its own) carries zero net momentum
+    x = xi(g)
+    if x.is_zero():
+        return
+    massive = {e.id for e in g.edges if e.mass_sq}
+    ids = g.edge_ids()
+    for size in range(len(ids) + 1):
+        for gamma in combinations(ids, size):
+            rep = _classes(g.vertices, (e.ends for e in g.edges if e.id in gamma))
+            flow = {}
+            for leg in g.legs:
+                total = flow.setdefault(rep[leg.vertex], [0] * 4)
+                for i, q in enumerate(leg.momentum):
+                    total[i] += q
+            delta = massive <= set(gamma) and not any(any(q) for q in flow.values())
+            order = min(sum(e for v, e in key if v in gamma) for key in x.terms)
+            assert order == subgraph_loop_number(g, gamma) + delta, gamma
 
 
 def first_divergence_oracle(g, spec):

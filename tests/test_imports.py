@@ -1,4 +1,4 @@
-"""The import graph: exact and number work loads neither numpy nor the process pool."""
+"""The import graph: exact, convergence and number work loads neither numpy nor the pool."""
 
 import os
 import subprocess
@@ -39,7 +39,19 @@ for argv in (
     assert loaded() == [], (argv, loaded())
 
 assert feynperiods.is_primitive(k4) == (True, None)
-assert loaded() == ["numpy"], ("is_primitive", loaded())
+assert loaded() == [], ("is_primitive", loaded())
+numerator = feynperiods.IntegrandSpec(feynperiods.parse_polynomial("a1*a2*a3"), psi_power=3)
+assert feynperiods.convergence(k4, numerator) == (False, (4, 5, 6), 0, True)
+triangle = feynperiods.load_graph("fixtures/triangle.json")
+with_xi = feynperiods.IntegrandSpec(psi_power=1, xi_power=1)
+assert feynperiods.convergence(triangle, with_xi) == (True, None, None, True)
+assert loaded() == [], ("convergence", loaded())
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.run(["divergence", "fixtures/k4.json", "--json"]) == 0
+assert loaded() == [], ("divergence", loaded())
+# a pooled integrate samples in its workers, so numpy first loads here
+assert math.isfinite(feynperiods.SymanzikSet.of(k4).psi.evaluate({i: 0.5 for i in range(1, 7)}))
+assert loaded() == ["numpy"], ("evaluate", loaded())
 est = feynperiods.integrate(k4, samples=2 * 2**18, seed=3, workers=2)
 assert math.isfinite(est.value) and est.std_error > 0, est
 assert loaded() == list(HEAVY), ("integrate", loaded())

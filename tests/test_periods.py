@@ -356,12 +356,14 @@ def test_zero_xi_is_refused_whatever_the_numerator():
             run(g, spec)
 
 
-def massive_wheel4(legs=(ExternalLeg("h0", (1, 0, 0, 0)), ExternalLeg("r0.0", (-1, 0, 0, 0)))):
-    """Wheel-4 with every edge at mass 1 and, by default, one momentum through it."""
-    w4 = wheels(4)
+def massive_wheel(
+    spokes, legs=(ExternalLeg("h0", (1, 0, 0, 0)), ExternalLeg("r0.0", (-1, 0, 0, 0)))
+):
+    """A wheel with every edge at mass 1 and, by default, one momentum through it."""
+    w = wheels(spokes)
     return FeynmanGraph(
-        vertices=w4.vertices,
-        edges=tuple(Edge(e.id, e.ends, 1) for e in w4.edges),
+        vertices=w.vertices,
+        edges=tuple(Edge(e.id, e.ends, 1) for e in w.edges),
         legs=legs,
     )
 
@@ -379,8 +381,8 @@ A1_OVER_PSI_XI = IntegrandSpec(parse_polynomial("a1"), psi_power=1, xi_power=1)
 )
 def test_each_forest_sweep_runs_once_per_graph(monkeypatch, run):
     # psi sweeps the spanning trees and phi the 2-forests, once per graph,
-    # whichever of the gate, SymanzikSet.of and xi asks first
-    convergent, _, _, certified = convergence(massive_wheel4(), A1_OVER_PSI_XI)
+    # whichever of integrate, SymanzikSet.of and xi asks first
+    convergent, _, _, certified = convergence(massive_wheel(4), A1_OVER_PSI_XI)
     assert convergent and certified
     sizes = []
 
@@ -389,10 +391,30 @@ def test_each_forest_sweep_runs_once_per_graph(monkeypatch, run):
         return itertools.combinations(pairs, size)
 
     monkeypatch.setattr(symanzik, "combinations", counted)
-    g = massive_wheel4()
+    g = massive_wheel(4)
     run(g)
     n = len(g.vertices)
     assert sorted(sizes) == [n - 2, n - 1]  # one 2-forest sweep, one tree sweep
+
+
+@pytest.mark.parametrize("spokes", [6, 7])
+def test_gate_certifies_massive_wheels_without_a_sweep(monkeypatch, spokes):
+    # ord_S(xi) comes from the vertex classes, so the gate builds no graph
+    # polynomial and its layer cap counts no xi term
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return itertools.combinations(*args)
+
+    monkeypatch.setattr(symanzik, "combinations", counted)
+    assert convergence(massive_wheel(spokes), A1_OVER_PSI_XI) == (True, None, None, True)
+    assert calls == []
+
+
+def test_a1_over_psi_xi_integrates_on_massive_wheel6():
+    est = integrate(massive_wheel(6), A1_OVER_PSI_XI, samples=2**12, seed=5)
+    assert math.isfinite(est.value) and est.value > 0 and est.std_error > 0
 
 
 @pytest.mark.parametrize(
@@ -410,7 +432,7 @@ def test_phi_without_net_momentum_sweeps_no_forest(monkeypatch, legs):
         return itertools.combinations(pairs, size)
 
     monkeypatch.setattr(symanzik, "combinations", counted)
-    g = massive_wheel4(legs)
+    g = massive_wheel(4, legs)
     s = SymanzikSet.of(g)
     assert s.phi.is_zero() and s.xi == symanzik.mass_term(g) * s.psi
     assert sizes == [len(g.vertices) - 1]  # the tree sweep alone
