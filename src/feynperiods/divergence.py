@@ -49,7 +49,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import comb, lcm
 
-from .graphs import _classes, _edge_set, _require_connected
+from .graphs import _layout, _require_connected
 from .polynomials import SparsePolynomial, _as_int
 from .symanzik import _net_momenta
 
@@ -87,15 +87,11 @@ def projective_degree(g, spec):
 
 def subgraph_loop_number(g, gamma):
     """Loop number of the subgraph induced by the edge ids ``gamma``."""
-    ids = set(_edge_set(g, gamma))
-    edges = [e for e in g.edges if e.id in ids]
-    verts = {v for e in edges for v in e.ends}
-    comps = len(set(_classes(verts, (e.ends for e in edges)).values()))
-    return len(edges) - len(verts) + comps
+    return g.induced_subgraph(gamma).loop_number()
 
 
-def _packed_flows(g, index):
-    """``(vertex index, packed net momentum)`` of each vertex that carries one.
+def _packed_flows(g):
+    """``(layout vertex index, packed net momentum)`` of each vertex that carries one.
 
     The components, scaled to integers by their common denominator, are packed
     as q0 + q1*K + q2*K^2 + q3*K^3 with K above twice the sum of their sizes,
@@ -105,6 +101,7 @@ def _packed_flows(g, index):
     scale = lcm(*(q.denominator for qs in momenta.values() for q in qs))
     scaled = {v: [int(q * scale) for q in qs] for v, qs in momenta.items()}
     k = 2 * sum(abs(q) for qs in scaled.values() for q in qs) + 1
+    index = _layout(g).index
     return [(index[v], sum(q * k**i for i, q in enumerate(qs))) for v, qs in scaled.items()]
 
 
@@ -119,9 +116,11 @@ def _first_divergence(g, spec):
 
     One walk in Python, a layer per subset size, each layer's sets in
     lexicographic order as three parallel lists (built faster than one list
-    of tuples): edge masks (bit i for the i-th smallest edge id), vertex
-    classes (a byte per vertex, the smallest vertex index of its class) and
-    loop numbers.  A child adds one edge above its parent's largest; the
+    of tuples): edge masks, vertex classes (a byte per vertex, the smallest
+    vertex index of its class) and loop numbers, all in the graph's layout
+    (``graphs._layout``: bit i for the i-th smallest edge id, index i for the
+    i-th smallest vertex name), which also turns the witness's mask back into
+    its edge ids.  A child adds one edge above its parent's largest; the
     edge closes a loop when its ends share a class, and otherwise one
     ``bytes.translate`` relabels the larger class as the smaller.
     ord_S(P) is the least, over P's terms, of the sum over the term's
@@ -138,16 +137,13 @@ def _first_divergence(g, spec):
     delta_S may turn 1.  The walk stops at the first failing set and keeps
     no layer that no later layer extends.
     """
-    ids = sorted(g.edge_ids())
-    n = len(ids)
-    bit = {eid: 1 << i for i, eid in enumerate(ids)}
-    index = {v: i for i, v in enumerate(sorted(g.vertices))}
-    if len(index) > 256:
+    layout = _layout(g)
+    n, bit, ends, nv = len(layout.ids), layout.bit, layout.ends, len(layout.names)
+    if nv > 256:
         raise ValueError(
-            f"the convergence test labels vertex classes in one byte: {len(index)} vertices, "
+            f"the convergence test labels vertex classes in one byte: {nv} vertices, "
             "more than 256"
         )
-    ends = [[index[v] for v in e.ends] for e in sorted(g.edges, key=lambda e: e.id)]
     # the edges from each position on: (bit, its two ends, whether an edge follows it)
     tails = [[(1 << j, *ends[j], j + 1 < n) for j in range(first, n)] for first in range(n + 1)]
     levels = []  # per numerator term: (step, mask) of each level
@@ -158,11 +154,11 @@ def _first_divergence(g, spec):
                 steps.append((e - below, sum(bit[v] for v, x in key if x >= e)))
                 below = e
             levels.append(steps)
-    width = len(index) + len(levels)
+    width = nv + len(levels)
     xi_power = spec.xi_power
     closed = spec.psi_power + xi_power  # omega's weight on h_S
     massive = sum(bit[e.id] for e in g.edges if e.mass_sq)
-    flows = _packed_flows(g, index) if xi_power else []
+    flows = _packed_flows(g) if xi_power else []
     balanced = {}  # classes -> whether every class carries zero net momentum
 
     # the helpers read spec rather than closed and xi_power: a local that a
@@ -182,10 +178,10 @@ def _first_divergence(g, spec):
         return w
 
     def found(mask, w):
-        return tuple(eid for i, eid in enumerate(ids) if mask >> i & 1), w
+        return tuple(eid for eid, _ in layout[mask]), w
 
-    merges = [[None] * len(index) for _ in index]  # filled by _merge
-    masks, partitions, loop_numbers = [0], [bytes(range(len(index)))], [0]
+    merges = [[None] * nv for _ in range(nv)]  # filled by _merge
+    masks, partitions, loop_numbers = [0], [bytes(range(nv))], [0]
     for size in range(1, n):
         subsets = comb(n, size)
         if subsets * width > _LAYER_CELLS:

@@ -15,7 +15,8 @@ Conventions
 * Exact inputs follow one rule (see :func:`polynomials._as_fraction`): an
   edge id is an integer, and a mass or a momentum component is a Fraction,
   an integer or a rational string such as ``"3/4"``.  Bools and floats are
-  refused.  Every argument that names edges is read by :func:`_edge_set`:
+  refused.  A vertex name, in the vertex list, an edge end or a leg, is read
+  by ``str()``.  Every argument that names edges is read by :func:`_edge_set`:
   ids must be integers, duplicates collapse and ids are sorted; the smallest
   unknown id is named first, and self-loop refusals come after unknown ids.
 * The loop number is E - V + (number of connected components), counting a
@@ -63,7 +64,7 @@ def _edge_set(g, edge_ids):
     compares equal to an id is still refused.
     """
     ids = {_as_int("edge id", eid) for eid in edge_ids}
-    unknown = ids.difference(_edge_id_set(g))
+    unknown = ids.difference(_layout(g).bit)
     if unknown:
         raise ValueError(f"no edge with id {min(unknown)}")
     return tuple(sorted(ids))
@@ -92,10 +93,41 @@ def _once_per_graph(build):
     return once
 
 
+class _Layout(dict):
+    """The integer picture of one graph, as a mask -> monomial key dict.
+
+    Vertex i is ``names[i]``, the i-th smallest name, and ``index`` maps each
+    name to i; edge bit i stands for ``ids[i]``, the i-th smallest edge id,
+    and ``bit`` maps each id to its bit.  ``ends`` holds each edge's pair of
+    vertex indices in id order, and ``loops`` is the mask of the self-loops.
+    Looking up an edge mask gives the squarefree key ``((id, 1), ...)`` of
+    its edges, built on first use and kept.
+    """
+
+    def __init__(self, g):
+        self.names = sorted(g.vertices)
+        self.index = {v: i for i, v in enumerate(self.names)}
+        edges = sorted(g.edges, key=lambda e: e.id)
+        self.ids = [e.id for e in edges]
+        self.bit = {eid: 1 << i for i, eid in enumerate(self.ids)}
+        self.ends = [(self.index[e.ends[0]], self.index[e.ends[1]]) for e in edges]
+        self.loops = sum(1 << i for i, (u, v) in enumerate(self.ends) if u == v)
+
+    def __missing__(self, mask):
+        key = []
+        rest = mask
+        while rest:
+            low = rest & -rest
+            key.append((self.ids[low.bit_length() - 1], 1))
+            rest ^= low
+        key = self[mask] = tuple(key)
+        return key
+
+
 @_once_per_graph
-def _edge_id_set(g):
-    """The graph's edge ids as a frozenset, for :func:`_edge_set`'s lookups."""
-    return frozenset(g.edge_ids())
+def _layout(g):
+    """The graph's :class:`_Layout`, built once."""
+    return _Layout(g)
 
 
 @dataclass(frozen=True)
@@ -148,6 +180,7 @@ class FeynmanGraph:
     legs: tuple[ExternalLeg, ...] = ()
 
     def __post_init__(self):
+        object.__setattr__(self, "vertices", tuple(str(v) for v in self.vertices))
         vset = set(self.vertices)
         if len(vset) != len(self.vertices):
             raise ValueError("duplicate vertex names")
@@ -291,7 +324,6 @@ def graph_from_dict(data):
     for field in ("vertices", "edges", "legs"):
         if not isinstance(data.get(field, []), (list, tuple)):
             raise ValueError(f"'{field}' must be a list")
-    vertices = tuple(str(v) for v in data["vertices"])
     edges = []
     for i, e in enumerate(data.get("edges", [])):
         try:
@@ -311,7 +343,7 @@ def graph_from_dict(data):
     ids = sorted(e.id for e in edges)
     if ids != list(range(1, len(ids) + 1)):
         raise ValueError("edge ids must be exactly 1..N")
-    return FeynmanGraph(vertices=vertices, edges=tuple(edges), legs=tuple(legs))
+    return FeynmanGraph(vertices=data["vertices"], edges=tuple(edges), legs=tuple(legs))
 
 
 def load_graph(path):

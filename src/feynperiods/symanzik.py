@@ -46,11 +46,12 @@ spanning tree of G.  So the terms of lowest gamma-degree are the product
 psi_gamma * psi_{G/gamma} with every coefficient 1: their gamma-parts are
 psi_gamma, their other parts psi_{G/gamma}, and all other terms form R, whose
 gamma-degree is strictly greater than h_gamma.  The split works on edge
-bitmasks, memoised per graph like psi, one per term with bit i for the i-th
-smallest edge id: a term's gamma-part is ``mask & gamma_mask``, its
-gamma-degree the popcount of that.  The analogous xi decompositions isolate
-ultraviolet (contract gamma) and infrared (gamma carries all mass and
-momentum dependence) behaviour.
+bitmasks of the graph's integer layout (``graphs._layout``: bit i for the
+i-th smallest edge id), one per term of psi and kept per graph like psi: a
+term's gamma-part is ``mask & gamma_mask``, its gamma-degree the popcount of
+that, and the layout turns a mask back into a monomial key.  The analogous
+xi decompositions isolate ultraviolet (contract gamma) and infrared (gamma
+carries all mass and momentum dependence) behaviour.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ from fractions import Fraction
 from itertools import combinations
 from operator import itemgetter
 
-from .graphs import _edge_set, _once_per_graph, _require_connected
+from .graphs import _edge_set, _layout, _once_per_graph, _require_connected
 from .polynomials import SparsePolynomial, _normalize_coeff
 
 
@@ -75,19 +76,16 @@ def _spanning_forests(g, k):
     A spanning k-forest is a set of n - k non-loop edges (n vertices) with no
     cycle; it has exactly k trees, so a graph with more than k components has
     none.  Edge sets come in lexicographic order of their sorted ids.
-    ``parent`` is the union-find array over the vertex indices (sorted vertex
-    order); every link points to a smaller index, so one ascending pass of
-    ``parent[i] = parent[parent[i]]`` names each tree by its smallest vertex.
+    ``parent`` is the union-find array over the vertex indices of the graph's
+    layout (``graphs._layout``, sorted vertex order); every link points to a
+    smaller index, so one ascending pass of ``parent[i] = parent[parent[i]]``
+    names each tree by its smallest vertex.
     """
-    verts = {v: i for i, v in enumerate(sorted(g.vertices))}
-    n = len(verts)
+    layout = _layout(g)
+    n = len(layout.names)
     if n < k or len(g.components()) > k:
         return
-    pairs = [
-        (verts[e.ends[0]], verts[e.ends[1]], e.id)
-        for e in sorted(g.edges, key=lambda e: e.id)
-        if not e.is_loop
-    ]
+    pairs = [(u, v, eid) for (u, v), eid in zip(layout.ends, layout.ids) if u != v]
     for combo in combinations(pairs, n - k):
         parent = list(range(n))
         # inline on purpose: a union helper called per edge costs exact_polynomials 4% wall time
@@ -127,9 +125,9 @@ def spanning_two_forests(g):
     one component.
     """
     _require_connected(g, "2-forest enumeration")
-    order = sorted(g.vertices)
-    index = {v: i for i, v in enumerate(order)}
-    first_end = {e.id: index[e.ends[0]] for e in g.edges}
+    layout = _layout(g)
+    order = layout.names
+    first_end = {eid: u for eid, (u, _) in zip(layout.ids, layout.ends)}
     forests = []
     for edge_ids, parent in _spanning_forests(g, 2):
         for i in range(len(order)):
@@ -156,7 +154,7 @@ def _complement_sum(g, forests):
     constructor has nothing left to check.  A forest with coefficient 0 is
     dropped, every other coefficient is normalized.
     """
-    pairs = [(eid, (eid, 1)) for eid in sorted(g.edge_ids())]
+    pairs = [(eid, (eid, 1)) for eid in _layout(g).ids]
     terms = {}
     for ids, c in forests:
         if c:
@@ -173,37 +171,11 @@ def psi_enumerate(g):
     return _complement_sum(g, ((tree, 1) for tree in spanning_trees(g)))
 
 
-class _TermMasks(dict):
-    """Edge bitmasks of the terms of one psi, as a mask -> monomial key dict.
-
-    Bit i stands for ``ids[i]``, the i-th smallest edge id.  ``masks`` lists
-    one mask per term of ``psi``, in ``psi.terms`` order, and ``loops`` is
-    the mask of the self-loop edges.  The dict starts with the terms' own
-    keys; looking up any other mask builds its squarefree key and keeps it.
-    """
-
-    def __init__(self, g, psi):
-        self.psi = psi
-        self.ids = sorted(g.edge_ids())
-        self.bit = {eid: 1 << i for i, eid in enumerate(self.ids)}
-        self.masks = [sum(self.bit[v] for v, _ in key) for key in psi.terms]
-        self.loops = sum(self.bit[e.id] for e in g.edges if e.is_loop)
-        super().__init__(zip(self.masks, psi.terms))
-
-    def __missing__(self, mask):
-        key = []
-        rest = mask
-        while rest:
-            low = rest & -rest
-            key.append((self.ids[low.bit_length() - 1], 1))
-            rest ^= low
-        key = self[mask] = tuple(key)
-        return key
-
-
 @_once_per_graph
 def _term_masks(g):
-    return _TermMasks(g, psi_enumerate(g))
+    """The edge mask of each term of psi, in ``psi.terms`` order (bits of ``graphs._layout``)."""
+    bit = _layout(g).bit
+    return [sum(bit[v] for v, _ in key) for key in psi_enumerate(g).terms]
 
 
 def _cofactor_determinant(m):
@@ -242,9 +214,8 @@ def psi_determinant(g):
     psi.  Must agree exactly with :func:`psi_enumerate`.
     """
     _require_connected(g, "psi")
-    order = sorted(g.vertices)
-    idx = {v: i for i, v in enumerate(order)}
-    size = len(order) - 1
+    idx = _layout(g).index
+    size = len(idx) - 1
     lap = [[SparsePolynomial.zero() for _ in range(size)] for _ in range(size)]
     for e in g.edges:
         if e.is_loop:
@@ -295,7 +266,7 @@ def phi(g):
     by_vertex = _net_momenta(g)
     if not by_vertex:
         return SparsePolynomial.zero()
-    legged = [(i, v) for i, v in enumerate(sorted(g.vertices)) if v in by_vertex]
+    legged = [(i, v) for i, v in enumerate(_layout(g).names) if v in by_vertex]
     squares = {}  # momentum-carrying vertices of T1 -> (q^{T1})^2
     forests = []
     for edge_ids, parent in _spanning_forests(g, 2):
@@ -398,9 +369,7 @@ def partial_factor_psi(g, gamma):
     """
     gamma = _check_gamma(g, gamma)
     psi_g = psi_enumerate(g)
-    keys = _term_masks(g)
-    if keys.psi is not psi_g:  # the psi memo was replaced after the masks were built
-        keys = _TermMasks(g, psi_g)
+    keys = _layout(g)  # also the mask -> monomial key codec
     gm = 0
     for eid in gamma:
         gm |= keys.bit[eid]
@@ -408,12 +377,13 @@ def partial_factor_psi(g, gamma):
     if looped:  # a self-loop in gamma leaves no quotient graph
         first = (looped & -looped).bit_length() - 1
         raise ValueError(f"cannot contract self-loop edge {keys.ids[first]}")
-    subs = [m & gm for m in keys.masks]
+    masks = _term_masks(g)
+    subs = [m & gm for m in masks]
     # every spanning forest of gamma extends to a spanning tree of G, so the
     # lowest gamma-degree is h_gamma
     h_gamma = min(map(int.bit_count, subs))
     sub_terms, quotient_terms, remainder = {}, {}, {}
-    for m, sub, key in zip(keys.masks, subs, psi_g.terms):
+    for m, sub, key in zip(masks, subs, psi_g.terms):
         if sub.bit_count() == h_gamma:
             sub_terms[keys[sub]] = 1
             quotient_terms[keys[m ^ sub]] = 1  # the term's edges outside gamma

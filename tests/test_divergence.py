@@ -137,7 +137,8 @@ def test_numerator_variables_must_be_edges():
 
 
 def test_powers_beyond_the_table_are_refused():
-    # the table's int64 omegas are exact only below these bounds
+    # omega is an exact Python int at any size, but a power this large
+    # overflows or underflows every floating sample of the integrand
     for spec in (
         IntegrandSpec(psi_power=1 << 62),
         IntegrandSpec(xi_power=1 << 31),

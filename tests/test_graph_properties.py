@@ -17,7 +17,7 @@ from feynperiods.divergence import (
     projective_degree,
     subgraph_loop_number,
 )
-from feynperiods.graphs import Edge, ExternalLeg, FeynmanGraph, _classes
+from feynperiods.graphs import Edge, ExternalLeg, FeynmanGraph, _classes, _layout
 from feynperiods.polynomials import SparsePolynomial, _term_sort_key, parse_polynomial
 from feynperiods.symanzik import (
     Factorization,
@@ -213,6 +213,26 @@ def decorated_multigraphs(draw):
     vertex = st.sampled_from(g.vertices)
     legs = tuple(ExternalLeg(draw(vertex), q) for q in momenta)
     return FeynmanGraph(vertices=g.vertices, edges=edges, legs=legs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), g=decorated_multigraphs())
+def test_layout_matches_the_graph(data, g):
+    if g.edges and data.draw(st.booleans()):  # leave a gap in the edge ids
+        g = g.delete_edge(data.draw(st.sampled_from(g.edge_ids())))
+    layout = _layout(g)
+    names, ids = sorted(g.vertices), sorted(g.edge_ids())
+    assert (layout.names, layout.ids) == (names, ids)
+    assert layout.index == {v: names.index(v) for v in g.vertices}
+    assert layout.bit == {eid: 1 << ids.index(eid) for eid in ids}
+    by_id = {e.id: e for e in g.edges}
+    assert layout.ends == [tuple(names.index(v) for v in by_id[eid].ends) for eid in ids]
+    assert layout.loops == sum(layout.bit[e.id] for e in g.edges if e.is_loop)
+    for mask in data.draw(st.lists(st.integers(0, (1 << len(ids)) - 1), max_size=10)):
+        want = sorted(eid for i, eid in enumerate(ids) if mask >> i & 1)
+        key = layout[mask]
+        assert key == tuple((eid, 1) for eid in want) and layout[mask] is key  # built, then kept
+    assert _layout(g) is layout
 
 
 def complement_sum_oracle(g, forests):

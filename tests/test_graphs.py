@@ -73,6 +73,21 @@ def test_graph_validation():
         FeynmanGraph(vertices=("u",), edges=(), legs=(ExternalLeg("w", (0, 0, 0, 0)),))
 
 
+def test_vertex_names_are_strings_as_edge_ends_and_legs_are():
+    g = FeynmanGraph(
+        vertices=[1, 2], edges=(Edge(1, (1, 2)),), legs=(ExternalLeg(2, (0, 0, 0, 0)),)
+    )
+    assert g.vertices == ("1", "2") and g.edges[0].ends == ("1", "2")
+    assert g == FeynmanGraph(vertices=("1", "2"), edges=(Edge(1, ("1", "2")),),
+                             legs=(ExternalLeg("2", (0, 0, 0, 0)),))
+    mixed = FeynmanGraph(vertices=("a", 3), edges=())
+    assert mixed.components() == (("3",), ("a",)) and mixed.loop_number() == 0
+    with pytest.raises(ValueError, match="duplicate vertex names"):
+        FeynmanGraph(vertices=(1, "1"), edges=())
+    doc = {"vertices": [1, 2], "edges": [{"id": 1, "ends": [1, 2]}]}
+    assert graph_from_dict(doc) == FeynmanGraph(vertices=("1", "2"), edges=(Edge(1, ("1", "2")),))
+
+
 def test_loop_number_and_components():
     g = triangle()
     assert g.loop_number() == 1

