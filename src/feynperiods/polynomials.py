@@ -7,7 +7,16 @@ a monomial key to its nonzero coefficient, where the key is the tuple of
 plain ints where possible, ``fractions.Fraction`` otherwise.
 
 The text rendering is deterministic (graded order, then lexicographic on the
-variable/exponent pairs) and round-trips through :func:`parse_polynomial`.
+variable/exponent pairs) and round-trips through :func:`parse_polynomial`,
+which reads it in one pass: a coefficient as an int or an int/int Fraction
+and each monomial straight into its canonical key (see that function for
+the grammar it accepts).
+
+A sum starts from the union of the two term dicts and merges only the
+monomials they share.  A product concatenates two keys when the variables
+of one all come before those of the other and merges them only when they
+interleave; either way terms and coefficient types come out as the
+validating constructor would give them from the pairwise products.
 
 This module also holds the package's one policy for exact inputs, which every
 public boundary applies: :func:`_as_int` for integers and :func:`_as_fraction`
@@ -20,7 +29,6 @@ import operator
 import re
 from fractions import Fraction
 
-Coeff = int | Fraction
 MonomialKey = tuple[tuple[int, int], ...]
 
 
@@ -63,10 +71,13 @@ def _normalize_coeff(c):
     return c
 
 
+_exponent = operator.itemgetter(1)
+
+
 def _term_sort_key(key: MonomialKey):
     # graded first, then lexicographic on the (variable, exponent) pairs;
     # this reproduces orderings like a1*a3 < a1*a4 < a2*a3 < a3*a4
-    return (sum(e for _, e in key), key)
+    return (sum(map(_exponent, key)), key)
 
 
 class SparsePolynomial:
@@ -83,11 +94,7 @@ class SparsePolynomial:
                 for v, e in key:
                     if v < 1 or e < 0:
                         raise ValueError(f"bad monomial entry ({v}, {e})")
-                if any(a == b for (a, _), (b, _) in zip(key, key[1:])):
-                    summed = {}  # add up a repeated variable
-                    for v, e in key:
-                        summed[v] = summed.get(v, 0) + e
-                    key = tuple(summed.items())
+                key = _sum_repeats(key)
                 coeff = coeff if type(coeff) is int else _as_fraction("coefficient", coeff)
                 coeff = _normalize_coeff(clean.get(key, 0) + coeff)
                 if coeff:
@@ -173,12 +180,25 @@ class SparsePolynomial:
         if other is NotImplemented:
             return NotImplemented
         terms = {}
+        right = other.terms.items()
         for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                key = _merge_keys(k1, k2)
-                s = _normalize_coeff(terms.get(key, 0) + c1 * c2)
-                if s:
-                    terms[key] = s
+            for k2, c2 in right:
+                # sorted keys whose variables do not interleave just concatenate
+                if not k1:
+                    key = k2
+                elif not k2 or k1[-1][0] < k2[0][0]:
+                    key = k1 + k2
+                elif k2[-1][0] < k1[0][0]:
+                    key = k2 + k1
+                else:
+                    key = _merge_keys(k1, k2)
+                c = c1 * c2
+                if type(c) is int and key not in terms:  # a nonzero int needs no normalizing
+                    terms[key] = c
+                    continue
+                c = _normalize_coeff(terms.get(key, 0) + c)
+                if c:
+                    terms[key] = c
                 elif key in terms:
                     del terms[key]
         return SparsePolynomial.from_canonical(terms)
@@ -307,18 +327,22 @@ class SparsePolynomial:
         pieces = []
         for key in sorted(self.terms, key=_term_sort_key):
             coeff = self.terms[key]
-            mono = "*".join(f"a{v}" if e == 1 else f"a{v}^{e}" for v, e in key)
-            c = abs(coeff)
+            # signs and text from the ints: Fraction's own comparisons are slow
+            if type(coeff) is int:
+                negative, c = coeff < 0, str(abs(coeff))
+            else:  # a canonical Fraction is never integral
+                negative, c = coeff.numerator < 0, f"{abs(coeff.numerator)}/{coeff.denominator}"
+            mono = "*".join([f"a{v}" if e == 1 else f"a{v}^{e}" for v, e in key])
             if not mono:
-                body = _render_coeff(c)
-            elif c == 1:
+                body = c
+            elif c == "1":
                 body = mono
             else:
-                body = f"{_render_coeff(c)}*{mono}"
+                body = f"{c}*{mono}"
             if not pieces:
-                pieces.append(body if coeff > 0 else f"-{body}")
+                pieces.append(f"-{body}" if negative else body)
             else:
-                pieces.append(f"+ {body}" if coeff > 0 else f"- {body}")
+                pieces.append(f"- {body}" if negative else f"+ {body}")
         return " ".join(pieces)
 
     def __str__(self):
@@ -352,60 +376,89 @@ def _merge_keys(k1: MonomialKey, k2: MonomialKey) -> MonomialKey:
     return tuple(out) + k1[i:] + k2[j:]
 
 
-def _render_coeff(c: Coeff) -> str:
-    if isinstance(c, Fraction) and c.denominator != 1:
-        return f"{c.numerator}/{c.denominator}"
-    return str(int(c))
+def _sum_repeats(key):
+    """A sorted key with each repeated variable's exponents added up."""
+    if any(a == b for (a, _), (b, _) in zip(key, key[1:])):
+        summed = {}
+        for v, e in key:
+            summed[v] = summed.get(v, 0) + e
+        key = tuple(summed.items())
+    return key
 
 
-_TERM_RE = re.compile(
-    r"^(?:(?P<coeff>-?\d+(?:/\d+)?)(?:\*(?P<tail>.+))?|(?P<mono>a\d+.*))$"
-)
-_FACTOR_RE = re.compile(r"^a(?P<var>\d+)(?:\^(?P<exp>\d+))?$")
+# A "+" always ends a term.  A "-" ends one when it follows a term, that is
+# when the last character before it (spaces aside) is none of "+-*/^".
+_SEPARATOR = re.compile(r"\s*(\+)\s*|(?<=[^-+*/^\s])\s*(-)\s*")
 
 
 def parse_polynomial(text):
     """Parse the :meth:`SparsePolynomial.render` format back to a polynomial.
 
     Accepts e.g. ``"a1*a3 + a1*a4 + a3*a4"``, ``"2*a1^2 - 1/3*a2"``, ``"0"``.
-    An integral coefficient is read as an int, so integer text never goes
-    through Fraction arithmetic.
+    The grammar: terms joined by ``+`` or ``-``; the first term may carry a
+    sign, and a term after ``+`` may carry its own ``-`` (``a1 + -a2``), but
+    no term has two minus signs.  A term is a coefficient, a monomial, or a
+    coefficient ``*`` a monomial.  A coefficient is ``n`` or ``n/d`` in
+    decimal digits, with d nonzero.  A monomial is factors ``a<i>`` or
+    ``a<i>^<k>`` joined by ``*`` (i, k decimal; a repeated variable adds its
+    exponents, and ``a0`` is refused).  Spaces may stand around every sign
+    and ``*``, and at the ends, but nowhere else.  An integral coefficient is
+    read as an int and a quotient as an int/int Fraction, so integer text
+    never goes through Fraction arithmetic.  Terms with the same monomial
+    are added up, in the order the constructor adds them.
     """
     s = text.strip()
     if not s:
         raise ValueError("empty polynomial text")
-    # split into signed terms at top level
-    s = s.replace("- ", "+ -").replace("+ ", "+")
-    if s.startswith("+"):
-        s = s[1:]
-    chunks = [c.strip() for c in s.split("+")]
-    terms = []
-    for chunk in chunks:
-        if not chunk:
+    pieces = _SEPARATOR.split(s)  # term, "+" or None, "-" or None, term, ...
+    terms = {}
+    for i in range(3 if not pieces[0] else 0, len(pieces), 3):  # step past a leading "+"
+        body = pieces[i]
+        if not body:
             raise ValueError(f"malformed polynomial text: {text!r}")
-        sign = 1
-        if chunk.startswith("-"):
-            sign = -1
-            chunk = chunk[1:].strip()
-        m = _TERM_RE.match(chunk)
-        if not m:
-            raise ValueError(f"cannot parse term {chunk!r}")
-        coeff, mono_text = m.group("coeff"), m.group("tail")
-        if coeff is None:
-            coeff, mono_text = 1, m.group("mono")
-        elif "/" not in coeff:  # integer text stays an int; only a quotient needs a Fraction
-            coeff = int(coeff)
+        negative = i > 0 and pieces[i - 1] is not None
+        if body[0] == "-":  # the term's own sign
+            if negative:
+                raise ValueError(f"cannot parse term {body!r}")
+            negative = True
+            body = body[1:].lstrip()
+        factors = body.split("*")
+        head = factors[0].strip()
+        num, slash, den = head.partition("/")
+        if num.isdecimal() and (den.isdecimal() or not slash):
+            if len(factors) == 2 and not factors[1].strip():
+                raise ValueError(f"cannot parse term {body!r}")
+            coeff = -int(num) if negative else int(num)
+            if slash:
+                if not int(den):
+                    raise ValueError(f"zero denominator in term {body!r}")
+                coeff = _normalize_coeff(Fraction(coeff, int(den)))
+            del factors[0]
+        elif head[:1] == "a" and head[1:2].isdecimal():
+            coeff = -1 if negative else 1
         else:
-            try:
-                coeff = Fraction(coeff)
-            except ZeroDivisionError:
-                raise ValueError(f"zero denominator in term {chunk!r}") from None
-        key = []  # a repeated variable is summed by the constructor
-        if mono_text:
-            for factor in mono_text.split("*"):
-                fm = _FACTOR_RE.match(factor.strip())
-                if not fm:
-                    raise ValueError(f"cannot parse factor {factor!r} in {text!r}")
-                key.append((int(fm.group("var")), int(fm.group("exp") or 1)))
-        terms.append((key, sign * coeff))
-    return SparsePolynomial(terms)
+            raise ValueError(f"cannot parse term {body!r}")
+        key = []
+        last, ordered = 0, True
+        for factor in factors:
+            f = factor.strip()
+            var, hat, exp = f[1:].partition("^")
+            if f[:1] != "a" or not var.isdecimal() or (hat and not exp.isdecimal()):
+                raise ValueError(f"cannot parse factor {factor!r} in {text!r}")
+            e = int(exp) if hat else 1
+            if e:
+                v = int(var)
+                if not v:
+                    raise ValueError(f"bad monomial entry (0, {e})")
+                key.append((v, e))
+                if v <= last:
+                    ordered = False
+                last = v
+        key = tuple(key) if ordered else _sum_repeats(tuple(sorted(key)))
+        if key in terms:  # add up as the constructor does
+            coeff = _normalize_coeff(terms[key] + coeff)
+        if coeff:
+            terms[key] = coeff
+        elif key in terms:
+            del terms[key]
+    return SparsePolynomial.from_canonical(terms)

@@ -26,7 +26,8 @@ function turns a forest sum into a polynomial by building its canonical
 dict directly: distinct forests have distinct complements, so no key is
 summed and no term needs the validating constructor.  phi squares the
 momentum of each leg partition once, however many forests share it.  psi,
-phi and xi are built once per graph and kept on it (``graphs._once_per_graph``).
+phi and xi are built once per graph and kept on it (``graphs._once_per_graph``),
+and so is the list of spanning trees that psi and :func:`spanning_trees` read.
 The determinant route for psi, the unmemoised oracle that enumeration must
 match exactly, expands the reduced edge-weighted Laplacian by cofactors,
 which needs no division and so never leaves the polynomial ring.
@@ -49,7 +50,9 @@ gamma-degree is strictly greater than h_gamma.  The split works on edge
 bitmasks of the graph's integer layout (``graphs._layout``: bit i for the
 i-th smallest edge id), one per term of psi and kept per graph like psi: a
 term's gamma-part is ``mask & gamma_mask``, its gamma-degree the popcount of
-that, and the layout turns a mask back into a monomial key.  The analogous
+that, and the layout turns a mask back into a monomial key.  h_gamma comes
+from gamma's own edges, by a union-find over their ends, so one pass over
+the terms builds all three parts.  The analogous
 xi decompositions isolate ultraviolet (contract gamma) and infrared (gamma
 carries all mass and momentum dependence) behaviour.
 """
@@ -105,8 +108,9 @@ def _spanning_forests(g, k):
             yield tuple(map(_edge_id, combo)), parent
 
 
-def spanning_trees(g):
-    """All spanning trees, as sorted edge-id tuples in lexicographic order."""
+@_once_per_graph
+def _trees(g):
+    """The spanning trees of ``g``, swept once and kept by ``graphs._once_per_graph``."""
     trees = [ids for ids, _ in _spanning_forests(g, 1)]
     if not trees:
         raise ValueError(
@@ -114,6 +118,14 @@ def spanning_trees(g):
             f"(components: {len(g.components())})"
         )
     return trees
+
+
+def spanning_trees(g):
+    """All spanning trees, as sorted edge-id tuples in lexicographic order.
+
+    A fresh list each call, read from the one sweep that psi also reads.
+    """
+    return list(_trees(g))
 
 
 def spanning_two_forests(g):
@@ -168,7 +180,7 @@ def _complement_sum(g, forests):
 @_once_per_graph
 def psi_enumerate(g):
     """First graph polynomial by spanning-tree enumeration, kept by ``graphs._once_per_graph``."""
-    return _complement_sum(g, ((tree, 1) for tree in spanning_trees(g)))
+    return _complement_sum(g, ((tree, 1) for tree in _trees(g)))
 
 
 @_once_per_graph
@@ -370,20 +382,31 @@ def partial_factor_psi(g, gamma):
     gamma = _check_gamma(g, gamma)
     psi_g = psi_enumerate(g)
     keys = _layout(g)  # also the mask -> monomial key codec
-    gm = 0
+    # every spanning forest of gamma extends to a spanning tree of G, so the
+    # lowest gamma-degree of psi's terms is h_gamma = |gamma| - rank(gamma):
+    # count the edges of gamma that close a cycle, by a union-find over
+    # their ends (psi_G exists, so G has few vertices: no path compression)
+    parent = list(range(len(keys.names)))
+    gm = h_gamma = 0
     for eid in gamma:
-        gm |= keys.bit[eid]
+        bit = keys.bit[eid]
+        gm |= bit
+        a, b = keys.ends[bit.bit_length() - 1]
+        while parent[a] != a:
+            a = parent[a]
+        while parent[b] != b:
+            b = parent[b]
+        if a == b:
+            h_gamma += 1
+        else:
+            parent[a] = b
     looped = gm & keys.loops
     if looped:  # a self-loop in gamma leaves no quotient graph
         first = (looped & -looped).bit_length() - 1
         raise ValueError(f"cannot contract self-loop edge {keys.ids[first]}")
-    masks = _term_masks(g)
-    subs = [m & gm for m in masks]
-    # every spanning forest of gamma extends to a spanning tree of G, so the
-    # lowest gamma-degree is h_gamma
-    h_gamma = min(map(int.bit_count, subs))
     sub_terms, quotient_terms, remainder = {}, {}, {}
-    for m, sub, key in zip(masks, subs, psi_g.terms):
+    for m, key in zip(_term_masks(g), psi_g.terms):
+        sub = m & gm
         if sub.bit_count() == h_gamma:
             sub_terms[keys[sub]] = 1
             quotient_terms[keys[m ^ sub]] = 1  # the term's edges outside gamma

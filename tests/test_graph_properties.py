@@ -462,11 +462,46 @@ def test_polynomial_ring_axioms(p, q, r, shift):
         )
 
 
+def naive_product(p, q):
+    """Every pair of terms multiplied, keys joined, summed in pair order by the constructor."""
+    return SparsePolynomial(
+        [(k1 + k2, c1 * c2) for k1, c1 in p.terms.items() for k2, c2 in q.terms.items()]
+    )
+
+
+def shifted(p, by):
+    return SparsePolynomial.from_canonical(
+        {tuple((v + by, e) for v, e in key): c for key, c in p.terms.items()}
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(p=polynomials(), q=polynomials(), c=st.fractions(-5, 5, max_denominator=3),
+       shift=st.integers(0, 3))
+def test_product_matches_the_pairwise_sum_in_order_and_type(p, q, c, shift):
+    zero, const = SparsePolynomial.zero(), SparsePolynomial.constant(c)
+    top_p, top_q = max(p.variables(), default=0), max(q.variables(), default=0)
+    pairs = [
+        (p, q),  # variables interleave or are shared
+        (p, shifted(q, top_p + shift)),  # q's variables all come after p's
+        (shifted(p, top_q + shift), q),  # p's variables all come after q's
+        (p + q, p - q),  # shared variables whose cross terms cancel
+        (p, const), (const, p), (p, zero), (zero, p),
+    ]
+    for a, b in pairs:
+        assert exact_terms(a * b) == exact_terms(naive_product(a, b))
+
+
 @settings(max_examples=100, deadline=None)
 @given(p=polynomials())
 def test_render_parse_round_trip(p):
     q = parse_polynomial(p.render())
     assert q == p and q.render() == p.render()
+    # the terms come back in rendering order, each coefficient with its type
+    in_order = [(key, p.terms[key], type(p.terms[key]))
+                for key in sorted(p.terms, key=_term_sort_key)]
+    assert exact_terms(q) == in_order
+    assert exact_terms(parse_polynomial(q.render())) == in_order
 
 
 @settings(max_examples=100, deadline=None)

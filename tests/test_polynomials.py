@@ -109,7 +109,57 @@ def test_parse_round_trip():
         "a1*a3 + a1*a4 + a2*a3 + a2*a4 + a3*a4"
 
 
+PARSED = [  # text, its rendering
+    ("+ a1", "a1"),
+    ("a1^0", "1"),
+    ("-0", "0"),
+    ("2/4*a1", "1/2*a1"),
+    ("a3*a1*a3 - 2*a1*a3^2", "-a1*a3^2"),  # factors in any order, repeats add up
+    ("a1 - a1 + a1", "a1"),
+    ("a1 + -a2", "a1 - a2"),  # a term after "+" may carry its own minus
+    # a binary minus and spaces around "*" read the same in every position
+    ("a1-a2", "a1 - a2"),
+    ("a1 -a2", "a1 - a2"),
+    ("a1 + - a2", "a1 - a2"),
+    ("2 * a1", "2*a1"),
+    ("2 *a1", "2*a1"),
+]
+
+REFUSED = [  # text, the ValueError message
+    ("", "empty polynomial text"),
+    ("   ", "empty polynomial text"),
+    ("a1 +", "malformed polynomial text: 'a1 +'"),
+    ("a1 -", "malformed polynomial text: 'a1 -'"),
+    ("a1 + + a2", "malformed polynomial text: 'a1 + + a2'"),
+    ("-", "cannot parse term ''"),
+    ("1..2*a1", "cannot parse term '1..2*a1'"),
+    ("foo bar", "cannot parse term 'foo bar'"),
+    ("1 / 2", "cannot parse term '1 / 2'"),
+    ("1/2/3*a1", "cannot parse term '1/2/3*a1'"),
+    ("2*", "cannot parse term '2*'"),
+    ("1/0*a1", "zero denominator in term '1/0*a1'"),
+    ("a0", "bad monomial entry (0, 1)"),
+    ("a1 ** 2", "cannot parse factor '' in 'a1 ** 2'"),
+    ("a1^", "cannot parse factor 'a1^' in 'a1^'"),
+    ("a1*2", "cannot parse factor '2' in 'a1*2'"),
+    ("a1 a2", "cannot parse factor 'a1 a2' in 'a1 a2'"),
+    ("a1*-a2", "cannot parse factor '-a2' in 'a1*-a2'"),
+    ("a1^-1", "cannot parse factor 'a1^-1' in 'a1^-1'"),
+    # no term has two minus signs, before a variable or a coefficient
+    ("--a1", "cannot parse term '-a1'"),
+    ("a1 - -a2", "cannot parse term '-a2'"),
+    ("--1", "cannot parse term '-1'"),
+    ("a1 - -2*a2", "cannot parse term '-2*a2'"),
+]
+
+
+def test_parse_reads_the_grammar():
+    for text, rendered in PARSED:
+        assert parse_polynomial(text).render() == rendered, text
+
+
 def test_parse_rejects_garbage():
-    for bad in ("", "a1 +", "a1 ** 2", "1..2*a1", "a1^", "foo bar", "1/0*a1"):
-        with pytest.raises(ValueError):
-            parse_polynomial(bad)
+    for text, message in REFUSED:
+        with pytest.raises(ValueError) as err:
+            parse_polynomial(text)
+        assert str(err.value) == message, text
