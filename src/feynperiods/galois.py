@@ -29,7 +29,13 @@ coefficient measures exactly that.
 Every parameter, and each coefficient given to
 :func:`check_ratio_constraint`, is a Fraction, an integer or a rational
 string such as ``"3/4"`` (see :func:`polynomials._as_fraction`).  Bools and
-floats are refused.
+floats are refused.  The public ``RepMatrix(...)`` checks its entries; the
+``rep_*`` functions and ``@`` build theirs through the private
+``RepMatrix._of``, which checks nothing: their entries are Fractions by
+construction (the constants ``_ZERO`` and ``_ONE``, or arithmetic on an
+element's Fraction parameters), zero above the diagonal, and 1 at the unit
+period.  ``compose`` builds its element the same way, with its zero sigmas
+dropped and the rest sorted as ``GaloisElement`` does.
 """
 
 from __future__ import annotations
@@ -40,6 +46,7 @@ from fractions import Fraction
 from .polynomials import _as_fraction, _as_int
 
 RATIO_MAGNITUDE = Fraction(216, 522)  # == 12/29
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -67,6 +74,14 @@ class GaloisElement:
             if value:
                 clean[n] = value
         object.__setattr__(self, "sigma", tuple(sorted(clean.items())))
+
+    @classmethod
+    def _of(cls, lam, nu, sigma, sigma35):
+        """An element from Fractions that already pass every check above, sigma sorted."""
+        out = cls.__new__(cls)
+        for name, value in (("lam", lam), ("nu", nu), ("sigma", sigma), ("sigma35", sigma35)):
+            object.__setattr__(out, name, value)
+        return out
 
     def sigma_odd(self, n):
         """The sigma parameter at odd n >= 3 (0 when unset)."""
@@ -100,6 +115,14 @@ class RepMatrix:
             raise ValueError("the unit period must be fixed")
         object.__setattr__(self, "entries", rows)
 
+    @classmethod
+    def _of(cls, entries, basis):
+        """A matrix from rows of Fractions that already pass every check above."""
+        out = cls.__new__(cls)
+        object.__setattr__(out, "entries", entries)
+        object.__setattr__(out, "basis", basis)
+        return out
+
     def __matmul__(self, other):
         if not isinstance(other, RepMatrix):
             return NotImplemented
@@ -107,9 +130,12 @@ class RepMatrix:
             raise ValueError("cannot multiply matrices over different bases")
         n = len(self.basis)
         a, b = self.entries, other.entries
-        return RepMatrix(
+        # both factors are lower triangular: (ab)_ij sums k = j..i, and is 0 for j > i
+        return RepMatrix._of(
             tuple(
-                tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
+                tuple(sum([a[i][k] * b[k][j] for k in range(j + 1, i + 1)], a[i][j] * b[j][j])
+                      for j in range(i + 1))
+                + (_ZERO,) * (n - 1 - i)
                 for i in range(n)
             ),
             self.basis,
@@ -120,11 +146,11 @@ class RepMatrix:
 
 
 def rep_2pi_i(g):
-    return RepMatrix(((g.lam,),), ("2*pi*i",))
+    return RepMatrix._of(((g.lam,),), ("2*pi*i",))
 
 
 def rep_log2(g):
-    return RepMatrix(((g.lam, 0), (g.nu, 1)), ("log(2)", "1"))
+    return RepMatrix._of(((g.lam, _ZERO), (g.nu, _ONE)), ("log(2)", "1"))
 
 
 def rep_zeta_even(g, n):
@@ -132,7 +158,7 @@ def rep_zeta_even(g, n):
     n = _as_int("n", n)
     if n < 2 or n % 2:
         raise ValueError("rep_zeta_even needs an even index n >= 2")
-    return RepMatrix(((g.lam**n,),), (f"zeta({n})",))
+    return RepMatrix._of(((g.lam**n,),), (f"zeta({n})",))
 
 
 def rep_zeta_odd(g, n):
@@ -140,19 +166,20 @@ def rep_zeta_odd(g, n):
     n = _as_int("n", n)
     if n < 3 or n % 2 == 0:
         raise ValueError("rep_zeta_odd needs an odd index n >= 3")
-    return RepMatrix(
-        ((g.lam**n, 0), (g.sigma_odd(n), 1)), (f"zeta({n})", "1")
+    return RepMatrix._of(
+        ((g.lam**n, _ZERO), (dict(g.sigma).get(n, _ZERO), _ONE)), (f"zeta({n})", "1")
     )
 
 
 def rep_zeta35(g):
     """Action on the span of (zeta(3,5), zeta(3), 1)."""
-    lam = g.lam
-    return RepMatrix(
+    lam, sigma = g.lam, dict(g.sigma)
+    lam3 = lam**3
+    return RepMatrix._of(
         (
-            (lam**8, 0, 0),
-            (-5 * lam**3 * g.sigma_odd(5), lam**3, 0),
-            (g.sigma35, g.sigma_odd(3), 1),
+            (lam**8, _ZERO, _ZERO),
+            (-5 * lam3 * sigma.get(5, _ZERO), lam3, _ZERO),
+            (g.sigma35, sigma.get(3, _ZERO), _ONE),
         ),
         ("zeta(3,5)", "zeta(3)", "1"),
     )
@@ -168,15 +195,17 @@ def compose(g, h):
     - 5 lam_g^3 sigma_5(g) sigma_3(h)``;
     the cross term mirrors the off-diagonal entry of the zeta(3,5) matrix.
     """
-    keys = {n for n, _ in g.sigma} | {n for n, _ in h.sigma}
-    sigma = {n: g.sigma_odd(n) + g.lam**n * h.sigma_odd(n) for n in sorted(keys)}
-    return GaloisElement(
-        lam=g.lam * h.lam,
-        nu=g.nu + g.lam * h.nu,
-        sigma=tuple(sorted(sigma.items())),
-        sigma35=g.sigma35
-        + g.lam**8 * h.sigma35
-        - 5 * g.lam**3 * g.sigma_odd(5) * h.sigma_odd(3),
+    lam, sg, sh = g.lam, dict(g.sigma), dict(h.sigma)
+    sigma = []
+    for n in sorted(sg.keys() | sh.keys()):
+        value = sg.get(n, _ZERO) + lam**n * sh.get(n, _ZERO)
+        if value:  # zeros dropped, as in __post_init__
+            sigma.append((n, value))
+    return GaloisElement._of(
+        lam * h.lam,
+        g.nu + lam * h.nu,
+        tuple(sigma),
+        g.sigma35 + lam**8 * h.sigma35 - 5 * lam**3 * sg.get(5, _ZERO) * sh.get(3, _ZERO),
     )
 
 

@@ -46,6 +46,7 @@ from .polynomials import _as_int
 
 # pi to 50 digits, for float-accurate even zeta values
 _PI = Decimal("3.14159265358979323846264338327950288419716939937511")
+_LOG2_10 = math.log2(10)
 
 
 @lru_cache(maxsize=None, typed=True)  # typed: True must not hit the entry for 1
@@ -109,6 +110,49 @@ def _tail_bound(order, ones):
     return Decimal(num) / Decimal((order + 3 - 2 * ones) << order)
 
 
+def _truncation(counts, order):
+    """Summed tail bounds of series cut at ``order``; ``counts`` maps ones to multiplicity."""
+    return sum(m * _tail_bound(order, p) for p, m in counts.items())
+
+
+def _truncation_order(counts, tol):
+    """(K, truncation at K) for the least order K >= ``least`` whose truncation is <= tol / 2.
+
+    ``least = max(1, 2 * max(counts) - 2)`` keeps every tail bound valid.
+    With ``S(K) = 2^K * truncation(K)``, the test ``truncation(K) <= tol/2``
+    reads ``K >= log2 S(K) - log2(tol/2)``, whose right side grows far slower
+    than K; so stepping K up to the ceiling of the right side, from
+    ``least``, climbs to the least such K in a few steps.  S is summed in
+    exact integers scaled by 2^32 and only its logarithm is a float, so no
+    order overflows.  Single steps on the Decimal truncation itself then
+    settle the order, so it is the one the certified comparison picks.
+    """
+    half = tol / 2
+    least = max(1, 2 * max(counts) - 2)
+    exponent = half.adjusted()  # log2(half) from digits and exponent: no float underflow
+    target = math.log2(float(half.scaleb(-exponent))) + exponent * _LOG2_10
+    terms = [(p, m) for p, m in counts.items() if p]  # the empty word's bound is 0
+    order = least
+    while True:
+        scaled = 0
+        for p, m in terms:
+            scaled += (m * math.comb(order, p - 1) * (order + 2 - p) << 32) // (order + 3 - 2 * p)
+        need = math.ceil(math.log2(scaled) - 32 - target)
+        if need <= order:
+            break
+        order = need
+    bound = _truncation(counts, order)
+    while bound > half:
+        order += 1
+        bound = _truncation(counts, order)
+    while order > least:
+        below = _truncation(counts, order - 1)
+        if below > half:
+            break
+        order, bound = order - 1, below
+    return order, bound
+
+
 def _prefix_values(letters, order):
     """``I(0; prefix; 1/2)`` for every prefix of ``letters``, series cut at ``order``.
 
@@ -154,23 +198,7 @@ def _mzv_decimal(indices, tol):
     # ones in a_1..a_j, and in ~a_n..~a_{j+1} (the zeros of a_{j+1}..a_n)
     ones = [sum(letters[:j]) for j in range(n + 1)]
     dual_ones = [n - j - (ones[n] - ones[j]) for j in range(n + 1)]
-    counts = Counter(ones + dual_ones)
-    least = max(1, 2 * max(counts) - 2)
-
-    def truncation(order):
-        return sum(m * _tail_bound(order, p) for p, m in counts.items())
-
-    # the bound decreases in the order: double, then bisect
-    lo, order = least - 1, least
-    while truncation(order) > tol / 2:
-        lo, order = order, 2 * order
-    while order - lo > 1:
-        mid = (lo + order) // 2
-        if truncation(mid) > tol / 2:
-            lo = mid
-        else:
-            order = mid
-
+    order, truncation = _truncation_order(Counter(ones + dual_ones), tol)
     left = _prefix_values(letters, order)
     right = _prefix_values(dual, order)
     value = sum(left[j] * right[n - j] for j in range(n + 1))
@@ -183,7 +211,7 @@ def _mzv_decimal(indices, tol):
     # also covers the rounding of the tail bounds.
     ulp = Decimal(10) ** (1 - getcontext().prec)
     slack = 6 * (n + 1) ** 2 * (order + 1) * ulp
-    return value, truncation(order) + slack
+    return value, truncation + slack
 
 
 def _target_digits(value):

@@ -118,6 +118,37 @@ def test_compose_is_a_homomorphism_everywhere():
         assert rep_zeta35(h) @ rep_zeta35(g) == rep_zeta35(gh)
 
 
+def _every_rep(g):
+    yield rep_2pi_i(g)
+    yield rep_log2(g)
+    for n in (2, 4, 8):
+        yield rep_zeta_even(g, n)
+    for n in (3, 5, 7):
+        yield rep_zeta_odd(g, n)
+    yield rep_zeta35(g)
+
+
+def test_derived_matrices_pass_the_public_checks():
+    # the rep_* functions, @ and compose skip the validating constructors, so
+    # what they build must be what those constructors would have built
+    rng = random.Random(20261020)
+    pairs = [(random_element(rng), random_element(rng)) for _ in range(30)]
+    # sigma_3 and sigma_5 of the composite cancel to zero and must be dropped
+    pairs.append((GaloisElement(lam=2, sigma={3: 8, 5: 1}), GaloisElement(sigma={3: -1, 5: "-1/32"})))
+    for g, h in pairs:
+        gh = compose(g, h)
+        assert gh == GaloisElement(lam=gh.lam, nu=gh.nu, sigma=dict(gh.sigma), sigma35=gh.sigma35)
+        assert all(type(x) is Fraction for x in (gh.lam, gh.nu, gh.sigma35))
+        assert all(type(n) is int and type(x) is Fraction and x for n, x in gh.sigma)
+        for rg, rh, rgh in zip(_every_rep(g), _every_rep(h), _every_rep(gh)):
+            for m in (rg, rh, rh @ rg, rgh):
+                n = len(m.basis)
+                assert all(type(x) is Fraction for row in m.entries for x in row)
+                assert all(m.entries[i][j] == 0 for i in range(n) for j in range(i + 1, n))
+                assert RepMatrix(m.entries, m.basis) == m
+    assert compose(*pairs[-1]).sigma == ()
+
+
 def test_compose_identity_and_units():
     rng = random.Random(7)
     g = random_element(rng)

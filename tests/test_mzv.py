@@ -11,7 +11,9 @@ zeta(2,1,2) = (9 zeta(5) - 4 zeta(2) zeta(3)) / 2 and
 zeta(1,1,3) = 2 zeta(5) - zeta(2) zeta(3).
 """
 
+import itertools
 import math
+from collections import Counter
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -22,6 +24,8 @@ from hypothesis import strategies as st
 
 from feynperiods.mzv import (
     IteratedIntegralWord,
+    _truncation,
+    _truncation_order,
     bernoulli,
     euler_even_zeta,
     iterated_integral_word,
@@ -168,6 +172,46 @@ def test_sum_theorem(shape, digits):
             slack += bound
         assert abs(total) <= slack
     assert slack < Decimal(len(_admissible(weight, depth)) + 1).scaleb(-digits)
+
+
+def _split_counts(idx):
+    """How many of the 2(n+1) series of the split at 1/2 carry each number of ones."""
+    letters = iterated_integral_word(idx).letters
+    cuts = range(len(letters) + 1)
+    return Counter([sum(letters[:j]) for j in cuts] + [letters[j:].count(0) for j in cuts])
+
+
+def _least_order_by_scan(counts, tol):
+    least = max(1, 2 * max(counts) - 2)
+    order = next(k for k in itertools.count(least) if _truncation(counts, k) <= tol / 2)
+    return order, _truncation(counts, order)
+
+
+ADMISSIBLE_TO_10 = [idx for w in range(2, 11) for d in range(1, w) for idx in _admissible(w, d)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(idx=st.sampled_from(ADMISSIBLE_TO_10), digits=st.integers(min_value=1, max_value=60))
+def test_truncation_order_is_the_least_certified_one(idx, digits):
+    counts = _split_counts(idx)
+    with localcontext() as ctx:
+        ctx.prec = digits + 15  # as mzv_with_error sets it
+        tol = Decimal(1).scaleb(-digits) / 2
+        assert _truncation_order(counts, tol) == _least_order_by_scan(counts, tol)
+
+
+def test_truncation_order_past_the_float_range():
+    # tol / 2 = 2.5e-321 is below the smallest float, and 2^order overflows one
+    counts = _split_counts((2,))
+    with localcontext() as ctx:
+        ctx.prec = 320 + 15
+        tol = Decimal(1).scaleb(-320) / 2
+        order, bound = _truncation_order(counts, tol)
+        assert (order, bound) == _least_order_by_scan(counts, tol)
+        assert order > 1024
+    value, bound = mzv_with_error((2,), 320)
+    assert bound <= tol
+    assert abs(value - ZETA2) <= bound + Decimal("1e-20")
 
 
 def test_divergent_indices_rejected():
