@@ -167,7 +167,7 @@ def rep_zeta_odd(g, n):
     if n < 3 or n % 2 == 0:
         raise ValueError("rep_zeta_odd needs an odd index n >= 3")
     return RepMatrix._of(
-        ((g.lam**n, _ZERO), (dict(g.sigma).get(n, _ZERO), _ONE)), (f"zeta({n})", "1")
+        ((g.lam**n, _ZERO), (g.sigma_odd(n), _ONE)), (f"zeta({n})", "1")
     )
 
 

@@ -57,23 +57,16 @@ def _classes(vertices, pairs):
     return parent
 
 
-_INT = frozenset((int,))
-
-
 def _edge_set(g, edge_ids):
     """The distinct ids of ``edge_ids``, sorted; the smallest unknown id is an error.
 
     Each id is read by ``_as_int`` before the lookup, so a bool or a float that
-    compares equal to an id is still refused.  A tuple of exact ints, such as
-    every subgraph ``enumerate_subgraphs`` yields, needs no such reading.
+    compares equal to an id is still refused.
     """
-    if type(edge_ids) is tuple and _INT.issuperset(map(type, edge_ids)):
-        ids = set(edge_ids)
-    else:
-        ids = {_as_int("edge id", eid) for eid in edge_ids}
-    bit = _layout(g).bit
-    if not bit.keys() >= ids:
-        raise ValueError(f"no edge with id {min(ids.difference(bit))}")
+    ids = {_as_int("edge id", eid) for eid in edge_ids}
+    unknown = ids.difference(_layout(g).bit)
+    if unknown:
+        raise ValueError(f"no edge with id {min(unknown)}")
     return tuple(sorted(ids))
 
 

@@ -386,31 +386,9 @@ def _sum_repeats(key):
     return key
 
 
-# Every sign, with the spaces around it.  A "+" always ends a term.  A "-"
-# ends one when it follows a term, that is when the last character before it
-# (spaces aside) is none of "+-*/^"; any other "-" stays in its term's text.
-_SIGN = re.compile(r"(\s*[-+]\s*)")
-
-
-def _split_terms(s):
-    """``(minus before it, text)`` for each term of stripped text ``s``, in order."""
-    pieces = _SIGN.split(s)  # text, sign, text, sign, ...
-    terms = []
-    body, minus = pieces[0], False
-    for k in range(1, len(pieces), 2):
-        # a sign takes the spaces after it, so only a body that ends in a kept "-" ends in spaces
-        sign, text = pieces[k], body.rstrip()
-        if "+" in sign:
-            if text or k > 1:  # a "+" may lead the text
-                terms.append((minus, text))
-            body, minus = pieces[k + 1], False
-        elif text[-1:] not in "-+*/^":  # "" is in every string: a leading "-" stays
-            terms.append((minus, text))
-            body, minus = pieces[k + 1], True
-        else:
-            body += sign + pieces[k + 1]
-    terms.append((minus, body.rstrip()))
-    return terms
+# A "+" always ends a term.  A "-" ends one when it follows a term, that is
+# when the last character before it (spaces aside) is none of "+-*/^".
+_SEPARATOR = re.compile(r"\s*(\+)\s*|(?<=[^-+*/^\s])\s*(-)\s*")
 
 
 def parse_polynomial(text):
@@ -432,10 +410,13 @@ def parse_polynomial(text):
     s = text.strip()
     if not s:
         raise ValueError("empty polynomial text")
+    pieces = _SEPARATOR.split(s)  # term, "+" or None, "-" or None, term, ...
     terms = {}
-    for negative, body in _split_terms(s):
+    for i in range(3 if not pieces[0] else 0, len(pieces), 3):  # step past a leading "+"
+        body = pieces[i]
         if not body:
             raise ValueError(f"malformed polynomial text: {text!r}")
+        negative = i > 0 and pieces[i - 1] is not None
         if body[0] == "-":  # the term's own sign
             if negative:
                 raise ValueError(f"cannot parse term {body!r}")
