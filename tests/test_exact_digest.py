@@ -9,6 +9,10 @@ self-loop).  A change that keeps every exact output symbol for symbol keeps
 the digest; one that reorders a term or turns an int into a Fraction does
 not.  Regenerate the digest only for a change that alters exact outputs on
 purpose, and say so where the change is described.
+
+A second digest covers the determinant route for psi on its own: the terms
+of ``psi_determinant`` in stored order, with each coefficient's type, on the
+same graphs and on the wheels with 3 to 8 spokes.
 """
 
 import hashlib
@@ -18,11 +22,12 @@ from pathlib import Path
 
 from feynperiods.graphs import Edge, ExternalLeg, FeynmanGraph, load_graph
 from feynperiods.polynomials import parse_polynomial
-from feynperiods.symanzik import partial_factor_psi, phi, psi_enumerate, xi
+from feynperiods.symanzik import partial_factor_psi, phi, psi_determinant, psi_enumerate, xi
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 SPLIT_MAX_EDGES = 7
 DIGEST = "da5caaec51dc360c124c021a6d6507001f1254f32885b15e303282eb1e7bb211"
+DETERMINANT_DIGEST = "383a61f104e8af97c565e38376e0981b51e050907f1f2fd8c86076f1507857e0"
 
 
 def random_graph(rng):
@@ -52,6 +57,15 @@ def graphs():
     return fixtures + [random_graph(rng) for _ in range(30)]
 
 
+def wheel(spokes):
+    """The wheel with the given number of spokes: spokes 1..n, then the rim."""
+    rim = [f"r{i}" for i in range(spokes)]
+    ends = [("hub", r) for r in rim] + [(rim[i], rim[(i + 1) % spokes]) for i in range(spokes)]
+    return FeynmanGraph(
+        vertices=("hub", *rim), edges=tuple(Edge(i, e) for i, e in enumerate(ends, 1))
+    )
+
+
 def exact_terms(p):
     return [(key, c, type(c).__name__) for key, c in p.terms.items()]
 
@@ -76,3 +90,9 @@ def dump(g):
 def test_exact_outputs_match_the_committed_digest():
     text = "\n".join(dump(g) for g in graphs())
     assert hashlib.sha256(text.encode()).hexdigest() == DIGEST
+
+
+def test_determinant_terms_match_the_committed_digest():
+    corpus = graphs() + [wheel(n) for n in range(3, 9)]
+    text = "\n".join(f"{g!r}\n{exact_terms(psi_determinant(g))!r}" for g in corpus)
+    assert hashlib.sha256(text.encode()).hexdigest() == DETERMINANT_DIGEST

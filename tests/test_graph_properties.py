@@ -401,6 +401,38 @@ def test_zero_xi_is_refused_before_a_zero_numerator_converges(g, spec):
         convergence(g, spec)
 
 
+def wheel(spokes):
+    """The wheel with the given number of spokes: spokes 1..n, then the rim."""
+    rim = [f"r{i}" for i in range(spokes)]
+    ends = [("hub", r) for r in rim] + [(rim[i], rim[(i + 1) % spokes]) for i in range(spokes)]
+    return FeynmanGraph(
+        vertices=("hub", *rim), edges=tuple(Edge(i, e) for i, e in enumerate(ends, 1))
+    )
+
+
+# parallel edges into "z", the largest name, whose row and column the
+# reduced Laplacian drops; ids out of stored order and a self-loop
+PARALLEL_INTO_LAST = FeynmanGraph(
+    vertices=("z", "b", "a", "c"),
+    edges=tuple(
+        Edge(eid, ends)
+        for eid, ends in (
+            (5, ("a", "z")), (2, ("z", "a")), (7, ("b", "z")), (1, ("c", "z")),
+            (3, ("z", "c")), (4, ("a", "b")), (8, ("c", "c")), (6, ("b", "c")),
+            (9, ("z", "b")),
+        )
+    ),
+)
+
+
+@pytest.mark.parametrize(
+    "g", [wheel(6), wheel(7), wheel(8), PARALLEL_INTO_LAST],
+    ids=["W6", "W7", "W8", "parallel-into-last"],
+)
+def test_determinant_matches_oracle_in_order_beyond_the_drawn_sizes(g):
+    assert exact_terms(psi_determinant(g)) == exact_terms(psi_determinant_oracle(g))
+
+
 @settings(max_examples=150, deadline=None)
 @given(g=connected_multigraphs())
 def test_two_forests_partition_the_vertices(g):
