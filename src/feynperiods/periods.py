@@ -258,12 +258,13 @@ def integrate(
     are not integers (a bool is not one), below 2, negative or below 1; an
     unknown chart, or a ``boundary_bias`` outside (0, 1], not a real number
     or given to the affine chart; a projective degree other than 0; fewer
-    than two edges; a Dirichlet chart volume that overflows; then the one
-    gate for integrability, :func:`feynperiods.divergence.convergence`:
-    connectivity, numerator variables, powers, momentum conservation and a
-    zero xi, vertex count and layer size, and a subgraph with omega <= 0,
-    named with its omega.  Nothing is built before the gate, and the gate
-    builds no polynomial.  Where the test is not certified (a xi power and a
+    than two edges; then the one gate for integrability,
+    :func:`feynperiods.divergence.convergence`: connectivity, numerator
+    variables, powers, momentum conservation and a zero xi, vertex count and
+    layer size, and a subgraph with omega <= 0, named with its omega; last, a
+    Dirichlet chart constant Gamma(b)^n / Gamma(n*b) that overflows a float.
+    Nothing is built before these refusals, and the gate builds no
+    polynomial.  Where the test is not certified (a xi power and a
     massless edge) and finds no witness, the integral runs as any other.
     Returns a :class:`PeriodEstimate`; the estimate is exact in
     expectation, and the reported standard error is the usual sample
@@ -289,13 +290,13 @@ def integrate(
         raise ValueError(f"integrand has projective degree {deg}, must be 0")
     if g.n_edges < 2:
         raise ValueError("need at least two edges to integrate")
-    if chart == "simplex":
-        _simplex_volume(g.n_edges, b)  # refuse an overflowing volume before anything is built
     _, witness, omega, _ = convergence(g, spec)
     if witness is not None:
         raise ValueError(
             f"the integral diverges: subgraph {{{', '.join(map(str, witness))}}} has omega {omega}"
         )
+    if chart == "simplex":
+        _simplex_volume(g.n_edges, b)  # refuse an overflowing volume before anything is built
     powers = ((psi_enumerate, spec.psi_power), (xi, spec.xi_power))  # each built once, kept on g
     denominators = [(poly(g), power) for poly, power in powers if power]
     numerator = spec.numerator if spec.numerator != 1 else None

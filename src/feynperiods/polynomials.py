@@ -101,7 +101,7 @@ class SparsePolynomial:
                     clean[key] = coeff
                 elif key in clean:
                     del clean[key]
-        object.__setattr__(self, "terms", clean)
+        _store_terms(self, clean)
 
     def __setattr__(self, name, value):
         raise AttributeError("SparsePolynomial is immutable")
@@ -114,8 +114,8 @@ class SparsePolynomial:
     @classmethod
     def from_canonical(cls, terms):
         """Wrap a dict already in canonical form (sorted keys, nonzero normalized coefficients)."""
-        out = cls.__new__(cls)
-        object.__setattr__(out, "terms", terms)
+        out = object.__new__(cls)
+        _store_terms(out, terms)
         return out
 
     @classmethod
@@ -350,6 +350,10 @@ class SparsePolynomial:
 
     def __repr__(self):
         return f"SparsePolynomial({self.render()})"
+
+
+# the slot's own setter: past the refusing __setattr__ with no name lookup
+_store_terms = SparsePolynomial.terms.__set__
 
 
 def _merge_keys(k1: MonomialKey, k2: MonomialKey) -> MonomialKey:

@@ -30,7 +30,12 @@ phi and xi are built once per graph and kept on it (``graphs._once_per_graph``),
 and so is the list of spanning trees that psi and :func:`spanning_trees` read.
 The determinant route for psi, the unmemoised oracle that enumeration must
 match exactly, expands the reduced edge-weighted Laplacian by cofactors,
-which needs no division and so never leaves the polynomial ring.
+which needs no division.  It runs in Z[a]/(a_e^2), multilinear polynomials
+as dicts from edge masks to ints: every minor of a weighted Laplacian is
+multilinear in the edge weights (the all-minors matrix-tree theorem), so
+the a_e^2 terms a product would form cancel within their minor, and
+dropping them as they arise changes neither the result nor the order of
+its terms (see :func:`psi_determinant`).
 
 Partial factorizations: for a subgraph gamma (a set of edge ids) write
 
@@ -112,11 +117,8 @@ def _spanning_forests(g, k):
 def _trees(g):
     """The spanning trees of ``g``, swept once and kept by ``graphs._once_per_graph``."""
     trees = [ids for ids, _ in _spanning_forests(g, 1)]
-    if not trees:
-        raise ValueError(
-            "spanning tree enumeration needs a connected graph "
-            f"(components: {len(g.components())})"
-        )
+    if not trees:  # a connected graph has at least one
+        _require_connected(g, "spanning tree enumeration")
     return trees
 
 
@@ -190,29 +192,74 @@ def _term_masks(g):
     return [sum(bit[v] for v, _ in key) for key in psi_enumerate(g).terms]
 
 
-def _cofactor_determinant(m):
-    """Exact determinant of a square matrix of polynomials, with no division.
+def _cofactor_determinant(m, ring):
+    """Exact determinant of a square matrix over a commutative ring, with no division.
 
+    ``ring`` is ``(zero, one, mul, add, neg)``; a zero entry or minor is falsy.
     Laplace expansion row by row: after each row, ``minors`` maps the set of
     columns used so far (a bitmask S) to the minor of the rows done over S.
-    Entry (r, j) extends a minor over S with sign (-1)^|{c in S : c > j}|,
-    the inversions it adds; minors that cancel to zero are dropped.  The
-    empty matrix has determinant 1.
+    Entry (r, j) extends a minor over S by ``mul(entry, minor)``, negated when
+    |{c in S : c > j}|, the inversions it adds, is odd; minors that cancel to
+    zero are dropped.  The empty matrix has determinant ``one``.
     """
-    minors = {0: SparsePolynomial.one()}
+    zero, one, mul, add, neg = ring
+    minors = {0: one}
     for row in m:
+        entries = [(j, entry) for j, entry in enumerate(row) if entry]
         grown = {}
         for cols, minor in minors.items():
-            for j, entry in enumerate(row):
-                if cols >> j & 1 or entry.is_zero():
+            for j, entry in entries:
+                if cols >> j & 1:
                     continue
-                term = entry * minor
+                term = mul(entry, minor)
                 if (cols >> j).bit_count() & 1:
-                    term = -term
+                    term = neg(term)
                 key = cols | 1 << j
-                grown[key] = grown[key] + term if key in grown else term
+                grown[key] = add(grown[key], term) if key in grown else term
         minors = {cols: minor for cols, minor in grown.items() if minor}
-    return minors.get((1 << len(m)) - 1, SparsePolynomial.zero())
+    return minors.get((1 << len(m)) - 1, zero)
+
+
+# Z[a]/(a_e^2): a multilinear polynomial as a dict from an edge mask of
+# ``graphs._layout`` to a nonzero int.  Products, sums and negation insert,
+# add up and delete terms as SparsePolynomial's do, and a product of two
+# overlapping masks, which would carry some a_e^2, is dropped.
+
+
+def _multilinear_mul(p, q):
+    out = {}
+    for m1, c1 in p.items():
+        for m2, c2 in q.items():
+            if m1 & m2:
+                continue
+            key = m1 | m2
+            if key in out:
+                c = out[key] + c1 * c2
+                if c:
+                    out[key] = c
+                else:
+                    del out[key]
+            else:
+                out[key] = c1 * c2
+    return out
+
+
+def _multilinear_add(p, q):
+    out = {**p, **q}  # a shared mask keeps p's position
+    for key in p.keys() & q.keys():
+        c = p[key] + q[key]
+        if c:
+            out[key] = c
+        else:
+            del out[key]
+    return out
+
+
+def _multilinear_neg(p):
+    return {key: -c for key, c in p.items()}
+
+
+_MULTILINEAR = ({}, {0: 1}, _multilinear_mul, _multilinear_add, _multilinear_neg)
 
 
 def psi_determinant(g):
@@ -222,27 +269,42 @@ def psi_determinant(g):
     and column of the largest vertex, and take the determinant by
     division-free cofactor expansion.  That determinant is the spanning-tree
     sum ``sum_T prod_{e in T} a_e``; complementing each monomial's support in
-    the non-loop edge set (and multiplying by every self-loop variable) gives
-    psi.  Must agree exactly with :func:`psi_enumerate`.
+    the edge set (so every self-loop variable joins each term) gives psi.
+    Must agree exactly with :func:`psi_enumerate`.
+
+    The expansion runs in Z[a]/(a_e^2) on edge masks, so a product that
+    squares an edge variable is never formed.  That is exact: every minor of
+    a weighted Laplacian is multilinear in the edge weights (the all-minors
+    matrix-tree theorem), so the a_e^2 terms of each minor cancel.  It keeps
+    the order too: a term holding some a_e^2 is a key no squarefree term
+    shares, and a product with it holds a square again, so dropping such
+    terms leaves every insertion and deletion of the squarefree keys, and
+    with it their order in the dict, as the full ring would have them.  Each
+    cell lists its edges in stored order.
     """
     _require_connected(g, "psi")
-    idx = _layout(g).index
+    layout = _layout(g)
+    idx = layout.index
     size = len(idx) - 1
-    lap = [[SparsePolynomial.zero() for _ in range(size)] for _ in range(size)]
+    lap = [[{} for _ in range(size)] for _ in range(size)]
     for e in g.edges:
-        if e.is_loop:
-            continue
-        var = SparsePolynomial.variable(e.id)
         i, j = idx[e.ends[0]], idx[e.ends[1]]
+        if i == j:
+            continue
+        bit = layout.bit[e.id]
         if i < size:
-            lap[i][i] = lap[i][i] + var
+            lap[i][i][bit] = 1
         if j < size:
-            lap[j][j] = lap[j][j] + var
+            lap[j][j][bit] = 1
         if i < size and j < size:
-            lap[i][j] = lap[i][j] - var
-            lap[j][i] = lap[j][i] - var
-    kirchhoff = _cofactor_determinant(lap)
-    return _complement_sum(g, [([v for v, _ in key], c) for key, c in kirchhoff.terms.items()])
+            lap[i][j][bit] = -1
+            lap[j][i][bit] = -1
+    kirchhoff = _cofactor_determinant(lap, _MULTILINEAR)
+    pairs = [(1 << i, (eid, 1)) for i, eid in enumerate(layout.ids)]
+    # distinct trees have distinct complements, so no key is summed
+    return SparsePolynomial.from_canonical(
+        {tuple(p for bit, p in pairs if not tree & bit): c for tree, c in kirchhoff.items()}
+    )
 
 
 def _net_momenta(g):

@@ -1,6 +1,7 @@
 """Properties of the graph layer on random small multigraphs."""
 
 import math
+import operator
 import pickle
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -36,6 +37,10 @@ from feynperiods.symanzik import (
 )
 
 NAMES = ("u", "b", "x2", "a", "x10", "q")
+# (zero, one, mul, add, neg) for _cofactor_determinant over SparsePolynomial
+POLYNOMIAL_RING = (
+    SparsePolynomial.zero(), SparsePolynomial.one(), operator.mul, operator.add, operator.neg
+)
 
 
 @st.composite
@@ -256,7 +261,7 @@ def psi_determinant_oracle(g):
         for a, b, sign in ((i, i, 1), (j, j, 1), (i, j, -1), (j, i, -1)):
             if a < size and b < size:
                 lap[a][b] = lap[a][b] + sign * var
-    kirchhoff = _cofactor_determinant(lap)
+    kirchhoff = _cofactor_determinant(lap, POLYNOMIAL_RING)
     return complement_sum_oracle(g, [([v for v, _ in key], c) for key, c in kirchhoff.terms.items()])
 
 
@@ -464,7 +469,7 @@ def test_determinant_equals_leibniz_sum(data, n):
     # about half the entries are zero, so leading minors often vanish
     entry = st.just(SparsePolynomial.zero()) | polynomials()
     m = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
-    assert _cofactor_determinant(m) == leibniz(m)
+    assert _cofactor_determinant(m, POLYNOMIAL_RING) == leibniz(m)
 
 
 @settings(max_examples=100, deadline=None)

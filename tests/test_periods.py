@@ -313,6 +313,9 @@ TWO_WHEELS = wheels(4, 4)
          "convergence test needs a connected graph (components: 2)"),
         # refused at subset size 7, before that layer is built
         (functools.partial(integrate, wheels(12)), "the convergence test on 24 edges needs"),
+        # Gamma(172) overflows a float, but the gate refuses first
+        (functools.partial(integrate, wheels(86), samples=100),
+         "the convergence test on 172 edges needs"),
         (functools.partial(integrate, load_graph("fixtures/fourgraph.json")),
          "the integral diverges: subgraph {3, 4} has omega 0"),
         *[
@@ -330,7 +333,7 @@ TWO_WHEELS = wheels(4, 4)
             )
         ],
     ],
-    ids=["integrate-two-wheels", "integrate-w12", "integrate-fourgraph",
+    ids=["integrate-two-wheels", "integrate-w12", "integrate-w86", "integrate-fourgraph",
          "spanning-trees", "psi-enumerate", "symanzik-set",
          "convergence-zero-xi", "integrate-zero-xi"],
 )
