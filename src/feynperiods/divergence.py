@@ -178,7 +178,7 @@ def _first_divergence(g, spec):
         return w
 
     def found(mask, w):
-        return tuple(eid for eid, _ in layout[mask]), w
+        return layout.edge_ids(mask), w
 
     merges = [[None] * nv for _ in range(nv)]  # filled by _merge
     masks, partitions, loop_numbers = [0], [bytes(range(nv))], [0]

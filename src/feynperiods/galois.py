@@ -215,6 +215,8 @@ def galois_conjugate_span(period_name):
     Even zetas, and 2*pi*i itself, stay on their own line; odd zetas pick up
     the unit; zeta(3,5) picks up zeta(3) and the unit.
     """
+    if not isinstance(period_name, str):
+        raise ValueError(f"period name must be a string, got {period_name!r}")
     name = period_name.strip().lower().replace(" ", "").replace("*", "")
     if name in ("2pii", "2pi*i", "2(pi)i", "2ipi"):
         return ("2*pi*i",)

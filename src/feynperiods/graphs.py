@@ -100,8 +100,8 @@ class _Layout(dict):
     name to i; edge bit i stands for ``ids[i]``, the i-th smallest edge id,
     and ``bit`` maps each id to its bit.  ``ends`` holds each edge's pair of
     vertex indices in id order, and ``loops`` is the mask of the self-loops.
-    Looking up an edge mask gives the squarefree key ``((id, 1), ...)`` of
-    its edges, built on first use and kept.
+    :meth:`edge_ids` decodes an edge mask, and looking one up gives the
+    squarefree key ``((id, 1), ...)`` of its edges, built on first use and kept.
     """
 
     def __init__(self, g):
@@ -113,14 +113,17 @@ class _Layout(dict):
         self.ends = [(self.index[e.ends[0]], self.index[e.ends[1]]) for e in edges]
         self.loops = sum(1 << i for i, (u, v) in enumerate(self.ends) if u == v)
 
+    def edge_ids(self, mask):
+        """The ids of the edges in ``mask``, ascending."""
+        ids = []
+        while mask:
+            low = mask & -mask
+            ids.append(self.ids[low.bit_length() - 1])
+            mask ^= low
+        return tuple(ids)
+
     def __missing__(self, mask):
-        key = []
-        rest = mask
-        while rest:
-            low = rest & -rest
-            key.append((self.ids[low.bit_length() - 1], 1))
-            rest ^= low
-        key = self[mask] = tuple(key)
+        key = self[mask] = tuple([(eid, 1) for eid in self.edge_ids(mask)])
         return key
 
 

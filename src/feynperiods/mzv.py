@@ -71,6 +71,7 @@ def euler_even_zeta(n):
     The closed form ``zeta(2m) = (-1)^(m+1) B_{2m} 2^(2m-1) / (2m)! * pi^(2m)``
     gives zeta(2) = pi^2/6, zeta(4) = pi^4/90, zeta(6) = pi^6/945, ...
     """
+    n = _as_int("n", n)
     if n < 2 or n % 2:
         raise ValueError("euler_even_zeta needs an even index n >= 2")
     m = n // 2

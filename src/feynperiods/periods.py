@@ -201,7 +201,7 @@ def _run_chunk(sampler, seed, samples, edge_ids, numerator, denominators, chunk)
     return total, float(vals.sum())
 
 
-_pool = None  # (workers, ProcessPoolExecutor): the one pool of this process
+_pool = None  # (workers, ProcessPoolExecutor, its process count): the one pool of this process
 _pool_lock = threading.Lock()
 
 
@@ -216,24 +216,26 @@ def _shutdown_pool():
 
 
 def _run_on_pool(workers, run_chunk, n_chunks):
-    """Chunk results, in chunk order, from the process's pool of ``workers`` processes.
+    """Chunk results, in chunk order, from the process's pool for ``workers`` workers.
 
-    The chunks are cut into ``workers`` contiguous runs, one task each.  The
-    pool is created on the first parallel call and kept for later calls with
-    the same worker count; a call with another count shuts it down and
-    starts a new one.  A broken pool (a worker died) is dropped and the
-    error re-raised, so the next call starts afresh.
+    The chunks are cut into ``workers`` contiguous runs, one task each, and
+    the pool holds ``min(workers, n_chunks)`` processes, since a forking
+    executor starts them all at once.  It is kept for later calls with the
+    same worker count that it is large enough for; any other call shuts it
+    down and starts a new one.  A broken pool (a worker died) is dropped and
+    the error re-raised, so the next call starts afresh.
     """
     global _pool
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
+    size = min(workers, n_chunks)
     with _pool_lock:
-        if _pool is not None and _pool[0] != workers:
+        if _pool is not None and (_pool[0] != workers or _pool[2] < size):
             _pool[1].shutdown()
             _pool = None
         if _pool is None:
-            _pool = (workers, ProcessPoolExecutor(max_workers=workers))
+            _pool = (workers, ProcessPoolExecutor(max_workers=size), size)
         pool = _pool[1]
         try:
             return list(pool.map(run_chunk, range(n_chunks), chunksize=-(-n_chunks // workers)))

@@ -21,13 +21,15 @@ For a connected graph G with edge variables a_e:
       xi_G = phi_G + (sum_e m_e^2 a_e) * psi_G
 
 psi and phi are sums over spanning k-forests (k = 1 and k = 2), and so is
-psi_gamma below; one enumerator produces the forests for every k, and one
-function turns a forest sum into a polynomial by building its canonical
-dict directly: distinct forests have distinct complements, so no key is
-summed and no term needs the validating constructor.  phi squares the
-momentum of each leg partition once, however many forests share it.  psi,
-phi and xi are built once per graph and kept on it (``graphs._once_per_graph``),
-and so is the list of spanning trees that psi and :func:`spanning_trees` read.
+psi_gamma below.  One enumerator produces the forests for every k, as edge
+masks of the graph's integer layout (``graphs._layout``), and one function
+turns a forest sum into a polynomial: the layout's codec keys each term by
+the forest's complement mask, and distinct forests have distinct
+complements, so no key is summed and no term needs the validating
+constructor.  Edge ids appear only where :func:`spanning_trees` and
+:func:`spanning_two_forests` decode the masks.  phi squares the momentum of
+each leg partition once, however many forests share it.  psi, phi, xi and
+the tree masks are built once per graph and kept on it (``graphs._once_per_graph``).
 The determinant route for psi, the unmemoised oracle that enumeration must
 match exactly, expands the reduced edge-weighted Laplacian by cofactors,
 which needs no division.  It runs in Z[a]/(a_e^2), multilinear polynomials
@@ -52,13 +54,12 @@ spanning tree of G.  So the terms of lowest gamma-degree are the product
 psi_gamma * psi_{G/gamma} with every coefficient 1: their gamma-parts are
 psi_gamma, their other parts psi_{G/gamma}, and all other terms form R, whose
 gamma-degree is strictly greater than h_gamma.  The split works on edge
-bitmasks of the graph's integer layout (``graphs._layout``: bit i for the
-i-th smallest edge id), one per term of psi and kept per graph like psi: a
-term's gamma-part is ``mask & gamma_mask``, its gamma-degree the popcount of
-that, and the layout turns a mask back into a monomial key.  h_gamma comes
-from gamma's own edges, by a union-find over their ends, so one pass over
-the terms builds all three parts.  The analogous
-xi decompositions isolate ultraviolet (contract gamma) and infrared (gamma
+masks: term i of psi is the complement of tree mask i, and lies in the
+product exactly when ``tree & gamma_mask`` has rank(gamma) = |gamma| -
+h_gamma edges; the layout's codec turns the term's parts inside and outside
+gamma into keys.  rank(gamma) comes from a union-find over gamma's edge
+ends, so one pass over the trees builds all three parts.  The analogous xi
+decompositions isolate ultraviolet (contract gamma) and infrared (gamma
 carries all mass and momentum dependence) behaviour.
 """
 
@@ -75,25 +76,26 @@ from .polynomials import SparsePolynomial, _normalize_coeff
 
 # -- spanning forests ------------------------------------------------------
 
-_edge_id = itemgetter(2)
+_bit = itemgetter(2)
 
 
 def _spanning_forests(g, k):
-    """Yield ``(edge_ids, parent)`` for every spanning k-forest of ``g``.
+    """Yield ``(mask, parent)`` for every spanning k-forest of ``g``.
 
     A spanning k-forest is a set of n - k non-loop edges (n vertices) with no
     cycle; it has exactly k trees, so a graph with more than k components has
-    none.  Edge sets come in lexicographic order of their sorted ids.
-    ``parent`` is the union-find array over the vertex indices of the graph's
-    layout (``graphs._layout``, sorted vertex order); every link points to a
-    smaller index, so one ascending pass of ``parent[i] = parent[parent[i]]``
+    none.  ``mask`` is the forest's edge mask on the graph's layout
+    (``graphs._layout``: bit i for the i-th smallest edge id), and forests
+    come in lexicographic order of their sorted ids.  ``parent`` is the
+    union-find array over the layout's vertex indices; every link points to
+    a smaller index, so one ascending pass of ``parent[i] = parent[parent[i]]``
     names each tree by its smallest vertex.
     """
     layout = _layout(g)
     n = len(layout.names)
     if n < k or len(g.components()) > k:
         return
-    pairs = [(u, v, eid) for (u, v), eid in zip(layout.ends, layout.ids) if u != v]
+    pairs = [(u, v, 1 << i) for i, (u, v) in enumerate(layout.ends) if u != v]
     for combo in combinations(pairs, n - k):
         parent = list(range(n))
         # inline on purpose: a union helper called per edge costs exact_polynomials 4% wall time
@@ -110,13 +112,13 @@ def _spanning_forests(g, k):
                 a, b = b, a
             parent[a] = b
         else:
-            yield tuple(map(_edge_id, combo)), parent
+            yield sum(map(_bit, combo)), parent
 
 
 @_once_per_graph
 def _trees(g):
-    """The spanning trees of ``g``, swept once and kept by ``graphs._once_per_graph``."""
-    trees = [ids for ids, _ in _spanning_forests(g, 1)]
+    """The spanning trees of ``g`` as edge masks, swept once and kept by ``_once_per_graph``."""
+    trees = [mask for mask, _ in _spanning_forests(g, 1)]
     if not trees:  # a connected graph has at least one
         _require_connected(g, "spanning tree enumeration")
     return trees
@@ -125,9 +127,10 @@ def _trees(g):
 def spanning_trees(g):
     """All spanning trees, as sorted edge-id tuples in lexicographic order.
 
-    A fresh list each call, read from the one sweep that psi also reads.
+    A fresh list each call, decoded from the one sweep that psi also reads.
     """
-    return list(_trees(g))
+    layout = _layout(g)
+    return [layout.edge_ids(tree) for tree in _trees(g)]
 
 
 def spanning_two_forests(g):
@@ -141,19 +144,18 @@ def spanning_two_forests(g):
     _require_connected(g, "2-forest enumeration")
     layout = _layout(g)
     order = layout.names
-    first_end = {eid: u for eid, (u, _) in zip(layout.ids, layout.ends)}
     forests = []
-    for edge_ids, parent in _spanning_forests(g, 2):
+    for mask, parent in _spanning_forests(g, 2):
         for i in range(len(order)):
             parent[i] = parent[parent[i]]
         # now parent[i] is the root of vertex i; vertex 0 is a root
         verts_a, verts_b = [], []
         for v, root in zip(order, parent):
             (verts_b if root else verts_a).append(v)
-        edges_a, edges_b = [], []
-        for eid in edge_ids:
-            (edges_b if parent[first_end[eid]] else edges_a).append(eid)
-        forests.append(((tuple(edges_a), tuple(verts_a)), (tuple(edges_b), tuple(verts_b))))
+        # both ends of a forest edge lie in one tree, so its first end names it
+        second = mask & sum(1 << i for i, (u, _) in enumerate(layout.ends) if parent[u])
+        trees = ((mask ^ second, verts_a), (second, verts_b))
+        forests.append(tuple((layout.edge_ids(m), tuple(verts)) for m, verts in trees))
     return forests
 
 
@@ -161,21 +163,20 @@ def spanning_two_forests(g):
 
 
 def _complement_sum(g, forests):
-    """``sum over (edge_ids, c) of c * prod_{e not in edge_ids} a_e``, built in canonical form.
+    """``sum over (mask, c) of c * prod_{e not in mask} a_e``, built in canonical form.
 
-    Each key is the sorted edge ids of ``g`` minus the forest's; :class:`Edge`
-    has already checked the ids, so they are plain ints and the validating
-    constructor has nothing left to check.  A forest with coefficient 0 is
-    dropped, every other coefficient is normalized.
+    Each key is the layout's codec key of the forest's complement mask,
+    already canonical, so the validating constructor has nothing to check.  A
+    forest with coefficient 0 is dropped, every other coefficient is normalized.
     """
-    pairs = [(eid, (eid, 1)) for eid in _layout(g).ids]
+    layout = _layout(g)
+    full = (1 << len(layout.ids)) - 1
     terms = {}
-    for ids, c in forests:
+    for mask, c in forests:
         if c:
-            inside = set(ids)
             # assigned, not summed: distinct forests are distinct edge sets,
             # so their complements are distinct keys
-            terms[tuple(p for eid, p in pairs if eid not in inside)] = _normalize_coeff(c)
+            terms[layout[full ^ mask]] = _normalize_coeff(c)
     return SparsePolynomial.from_canonical(terms)
 
 
@@ -183,13 +184,6 @@ def _complement_sum(g, forests):
 def psi_enumerate(g):
     """First graph polynomial by spanning-tree enumeration, kept by ``graphs._once_per_graph``."""
     return _complement_sum(g, ((tree, 1) for tree in _trees(g)))
-
-
-@_once_per_graph
-def _term_masks(g):
-    """The edge mask of each term of psi, in ``psi.terms`` order (bits of ``graphs._layout``)."""
-    bit = _layout(g).bit
-    return [sum(bit[v] for v, _ in key) for key in psi_enumerate(g).terms]
 
 
 def _cofactor_determinant(m, ring):
@@ -299,12 +293,7 @@ def psi_determinant(g):
         if i < size and j < size:
             lap[i][j][bit] = -1
             lap[j][i][bit] = -1
-    kirchhoff = _cofactor_determinant(lap, _MULTILINEAR)
-    pairs = [(1 << i, (eid, 1)) for i, eid in enumerate(layout.ids)]
-    # distinct trees have distinct complements, so no key is summed
-    return SparsePolynomial.from_canonical(
-        {tuple(p for bit, p in pairs if not tree & bit): c for tree, c in kirchhoff.items()}
-    )
+    return _complement_sum(g, _cofactor_determinant(lap, _MULTILINEAR).items())
 
 
 def _net_momenta(g):
@@ -343,7 +332,7 @@ def phi(g):
     legged = [(i, v) for i, v in enumerate(_layout(g).names) if v in by_vertex]
     squares = {}  # momentum-carrying vertices of T1 -> (q^{T1})^2
     forests = []
-    for edge_ids, parent in _spanning_forests(g, 2):
+    for mask, parent in _spanning_forests(g, 2):
         part = []
         for i, v in legged:
             while parent[i] != i:
@@ -355,7 +344,7 @@ def phi(g):
         if coeff is None:
             total = [sum(qs, Fraction(0)) for qs in zip(*(by_vertex[v] for v in part))]
             coeff = squares[part] = sum(q * q for q in total)
-        forests.append((edge_ids, coeff))
+        forests.append((mask, coeff))
     return _complement_sum(g, forests)
 
 
@@ -430,7 +419,7 @@ def psi_subgraph(g, gamma):
     """
     sub = g.induced_subgraph(gamma)
     forests = _spanning_forests(sub, len(sub.components()))
-    return _complement_sum(sub, ((ids, 1) for ids, _ in forests))
+    return _complement_sum(sub, ((mask, 1) for mask, _ in forests))
 
 
 def partial_factor_psi(g, gamma):
@@ -444,12 +433,12 @@ def partial_factor_psi(g, gamma):
     gamma = _check_gamma(g, gamma)
     psi_g = psi_enumerate(g)
     keys = _layout(g)  # also the mask -> monomial key codec
-    # every spanning forest of gamma extends to a spanning tree of G, so the
-    # lowest gamma-degree of psi's terms is h_gamma = |gamma| - rank(gamma):
-    # count the edges of gamma that close a cycle, by a union-find over
+    full = (1 << len(keys.ids)) - 1
+    # T n gamma is a spanning forest of gamma when it has rank(gamma) edges:
+    # count the edges of gamma that join two classes, by a union-find over
     # their ends (psi_G exists, so G has few vertices: no path compression)
     parent = list(range(len(keys.names)))
-    gm = h_gamma = 0
+    gm = rank = 0
     for eid in gamma:
         bit = keys.bit[eid]
         gm |= bit
@@ -458,20 +447,19 @@ def partial_factor_psi(g, gamma):
             a = parent[a]
         while parent[b] != b:
             b = parent[b]
-        if a == b:
-            h_gamma += 1
-        else:
+        if a != b:
             parent[a] = b
+            rank += 1
     looped = gm & keys.loops
     if looped:  # a self-loop in gamma leaves no quotient graph
         first = (looped & -looped).bit_length() - 1
         raise ValueError(f"cannot contract self-loop edge {keys.ids[first]}")
     sub_terms, quotient_terms, remainder = {}, {}, {}
-    for m, key in zip(_term_masks(g), psi_g.terms):
-        sub = m & gm
-        if sub.bit_count() == h_gamma:
-            sub_terms[keys[sub]] = 1
-            quotient_terms[keys[m ^ sub]] = 1  # the term's edges outside gamma
+    for tree, key in zip(_trees(g), psi_g.terms):  # term i is the complement of tree i
+        inside = tree & gm
+        if inside.bit_count() == rank:
+            sub_terms[keys[gm ^ inside]] = 1  # the term's edges in gamma
+            quotient_terms[keys[full ^ (tree | gm)]] = 1  # and outside gamma
         else:
             remainder[key] = 1
     return Factorization(

@@ -167,6 +167,9 @@ def test_spans():
         galois_conjugate_span("zeta(1)")
     with pytest.raises(ValueError):
         galois_conjugate_span("gamma")
+    for name in (3, None, b"zeta(3)"):
+        with pytest.raises(ValueError, match="period name must be a string"):
+            galois_conjugate_span(name)
 
 
 def test_ratio_constraint_exact():

@@ -25,6 +25,7 @@ from feynperiods.symanzik import (
     _check_gamma,
     _cofactor_determinant,
     _spanning_forests,
+    _trees,
     mass_term,
     partial_factor_psi,
     phi,
@@ -234,7 +235,8 @@ def test_layout_matches_the_graph(data, g):
     assert layout.ends == [tuple(names.index(v) for v in by_id[eid].ends) for eid in ids]
     assert layout.loops == sum(layout.bit[e.id] for e in g.edges if e.is_loop)
     for mask in data.draw(st.lists(st.integers(0, (1 << len(ids)) - 1), max_size=10)):
-        want = sorted(eid for i, eid in enumerate(ids) if mask >> i & 1)
+        want = mask_ids(g, mask)
+        assert layout.edge_ids(mask) == tuple(want)
         key = layout[mask]
         assert key == tuple((eid, 1) for eid in want) and layout[mask] is key  # built, then kept
     assert _layout(g) is layout
@@ -246,6 +248,11 @@ def complement_sum_oracle(g, forests):
     return SparsePolynomial(
         [(tuple((v, 1) for v in sorted(all_ids - set(ids))), c) for ids, c in forests]
     )
+
+
+def mask_ids(g, mask):
+    """The edge ids of an edge mask, bit i for the i-th smallest id, decoded afresh."""
+    return [eid for i, eid in enumerate(sorted(g.edge_ids())) if mask >> i & 1]
 
 
 def psi_determinant_oracle(g):
@@ -298,8 +305,19 @@ def test_polynomials_match_constructor_oracle_in_order_and_type(data, g):
         gamma = data.draw(st.lists(st.sampled_from(ids), min_size=1, unique=True))
         sub = g.induced_subgraph(gamma)
         forests = _spanning_forests(sub, len(sub.components()))
-        want = complement_sum_oracle(sub, ((f, 1) for f, _ in forests))
+        want = complement_sum_oracle(sub, ((mask_ids(sub, f), 1) for f, _ in forests))
         assert exact_terms(psi_subgraph(g, gamma)) == exact_terms(want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(g=decorated_multigraphs())
+def test_psi_term_i_is_the_complement_of_tree_i(g):
+    # partial_factor_psi zips the tree masks with psi's terms in this order
+    trees = _trees(g)
+    assert [tuple(mask_ids(g, t)) for t in trees] == spanning_trees(g)
+    full = (1 << g.n_edges) - 1
+    keys = [[v for v, _ in key] for key in psi_enumerate(g).terms]
+    assert keys == [mask_ids(g, full ^ t) for t in trees]
 
 
 @settings(max_examples=150, deadline=None)

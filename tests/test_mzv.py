@@ -83,8 +83,10 @@ def test_euler_even_zeta_exact_coefficients():
     assert euler_even_zeta(8)[0] == Fraction(1, 9450)
     with pytest.raises(ValueError):
         euler_even_zeta(3)
-    with pytest.raises(ValueError, match="n must be an integer"):
-        euler_even_zeta(2.0)
+    for n in (2.0, "4", True):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            euler_even_zeta(n)
+    assert euler_even_zeta(np.int64(4)) == euler_even_zeta(4)
 
 
 def test_zeta_against_frozen_values():

@@ -251,6 +251,16 @@ def test_pool_is_reused_replaced_and_restarted():
     assert run(2) == pinned and periods._pool[1] is not pool
 
 
+def test_pool_holds_no_more_processes_than_chunks():
+    # a forking executor starts all its processes at once, so size it by the work
+    serial = integrate(banana(1), MASSIVE_SPEC, samples=2 * _CHUNK, seed=3, workers=1)
+    pooled = integrate(banana(1), MASSIVE_SPEC, samples=2 * _CHUNK, seed=3, workers=5)
+    assert len(periods._pool[1]._processes) == 2
+    assert (pooled.value, pooled.std_error, pooled.workers) == (serial.value, serial.std_error, 5)
+    integrate(banana(1), MASSIVE_SPEC, samples=3 * _CHUNK, seed=3, workers=5)
+    assert len(periods._pool[1]._processes) == 3  # grown for a third chunk
+
+
 def test_exit_handler_shuts_the_pool_down():
     # registered with atexit, so the pool goes while concurrent.futures is still loaded
     integrate(banana(), samples=2 * _CHUNK, seed=1, workers=2)
