@@ -218,18 +218,18 @@ def _shutdown_pool():
 def _run_on_pool(workers, run_chunk, n_chunks):
     """Chunk results, in chunk order, from the process's pool for ``workers`` workers.
 
-    The chunks are cut into ``workers`` contiguous runs, one task each, and
-    the pool holds ``min(workers, n_chunks)`` processes, since a forking
-    executor starts them all at once.  It is kept for later calls with the
-    same worker count that it is large enough for; any other call shuts it
-    down and starts a new one.  A broken pool (a worker died) is dropped and
-    the error re-raised, so the next call starts afresh.
+    The chunks are cut into at most ``workers`` contiguous runs, one task
+    each, on a pool of one process per task (a forking executor starts them
+    all at once), kept for later calls with the same worker count that it
+    can hold.  A broken pool (a worker died) is dropped and the error
+    re-raised, so the next call starts afresh.
     """
     global _pool
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
-    size = min(workers, n_chunks)
+    chunksize = -(-n_chunks // workers)
+    size = -(-n_chunks // chunksize)  # the number of tasks
     with _pool_lock:
         if _pool is not None and (_pool[0] != workers or _pool[2] < size):
             _pool[1].shutdown()
@@ -238,7 +238,7 @@ def _run_on_pool(workers, run_chunk, n_chunks):
             _pool = (workers, ProcessPoolExecutor(max_workers=size), size)
         pool = _pool[1]
         try:
-            return list(pool.map(run_chunk, range(n_chunks), chunksize=-(-n_chunks // workers)))
+            return list(pool.map(run_chunk, range(n_chunks), chunksize=chunksize))
         except BrokenProcessPool:
             _pool = None
             pool.shutdown(wait=False)

@@ -21,15 +21,14 @@ For a connected graph G with edge variables a_e:
       xi_G = phi_G + (sum_e m_e^2 a_e) * psi_G
 
 psi and phi are sums over spanning k-forests (k = 1 and k = 2), and so is
-psi_gamma below.  One enumerator produces the forests for every k, as edge
-masks of the graph's integer layout (``graphs._layout``), and one function
-turns a forest sum into a polynomial: the layout's codec keys each term by
-the forest's complement mask, and distinct forests have distinct
-complements, so no key is summed and no term needs the validating
+psi_gamma below.  One enumerator produces the forests for every k as edge
+masks of ``graphs._layout``, and one function sums them: the layout's codec
+keys each term by the forest's complement mask, and distinct forests have
+distinct complements, so no key is summed and no term needs the validating
 constructor.  Edge ids appear only where :func:`spanning_trees` and
 :func:`spanning_two_forests` decode the masks.  phi squares the momentum of
 each leg partition once, however many forests share it.  psi, phi, xi and
-the tree masks are built once per graph and kept on it (``graphs._once_per_graph``).
+the tree masks are kept per graph (``graphs._once_per_graph``).
 The determinant route for psi, the unmemoised oracle that enumeration must
 match exactly, expands the reduced edge-weighted Laplacian by cofactors,
 which needs no division.  It runs in Z[a]/(a_e^2), multilinear polynomials
@@ -56,11 +55,11 @@ psi_gamma, their other parts psi_{G/gamma}, and all other terms form R, whose
 gamma-degree is strictly greater than h_gamma.  The split works on edge
 masks: term i of psi is the complement of tree mask i, and lies in the
 product exactly when ``tree & gamma_mask`` has rank(gamma) = |gamma| -
-h_gamma edges; the layout's codec turns the term's parts inside and outside
-gamma into keys.  rank(gamma) comes from a union-find over gamma's edge
-ends, so one pass over the trees builds all three parts.  The analogous xi
-decompositions isolate ultraviolet (contract gamma) and infrared (gamma
-carries all mass and momentum dependence) behaviour.
+h_gamma edges, counted by a union-find over gamma's edge ends; the codec
+keys the term's parts inside and outside gamma, so one pass over the trees
+builds all three parts.  The analogous xi decompositions isolate ultraviolet
+(contract gamma) and infrared (gamma carries all mass and momentum
+dependence) behaviour.
 """
 
 from __future__ import annotations
@@ -84,9 +83,8 @@ def _spanning_forests(g, k):
 
     A spanning k-forest is a set of n - k non-loop edges (n vertices) with no
     cycle; it has exactly k trees, so a graph with more than k components has
-    none.  ``mask`` is the forest's edge mask on the graph's layout
-    (``graphs._layout``: bit i for the i-th smallest edge id), and forests
-    come in lexicographic order of their sorted ids.  ``parent`` is the
+    none.  ``mask`` has bit i for the i-th smallest edge id (``graphs._layout``),
+    and forests come in lexicographic order of their ids.  ``parent`` is the
     union-find array over the layout's vertex indices; every link points to
     a smaller index, so one ascending pass of ``parent[i] = parent[parent[i]]``
     names each tree by its smallest vertex.
@@ -129,8 +127,7 @@ def spanning_trees(g):
 
     A fresh list each call, decoded from the one sweep that psi also reads.
     """
-    layout = _layout(g)
-    return [layout.edge_ids(tree) for tree in _trees(g)]
+    return list(map(_layout(g).edge_ids, _trees(g)))
 
 
 def spanning_two_forests(g):
@@ -143,19 +140,26 @@ def spanning_two_forests(g):
     """
     _require_connected(g, "2-forest enumeration")
     layout = _layout(g)
-    order = layout.names
+    order, edge_ids = layout.names, layout.edge_ids
+    # both ends of a forest edge lie in one tree, so its first end names it
+    by_first = [0] * len(order)  # vertex index -> mask of the edges it is the first end of
+    for i, (u, _) in enumerate(layout.ends):
+        by_first[u] |= 1 << i
     forests = []
     for mask, parent in _spanning_forests(g, 2):
         for i in range(len(order)):
             parent[i] = parent[parent[i]]
         # now parent[i] is the root of vertex i; vertex 0 is a root
-        verts_a, verts_b = [], []
-        for v, root in zip(order, parent):
-            (verts_b if root else verts_a).append(v)
-        # both ends of a forest edge lie in one tree, so its first end names it
-        second = mask & sum(1 << i for i, (u, _) in enumerate(layout.ends) if parent[u])
-        trees = ((mask ^ second, verts_a), (second, verts_b))
-        forests.append(tuple((layout.edge_ids(m), tuple(verts)) for m, verts in trees))
+        verts_a, verts_b, second = [], [], 0
+        for v, root, first in zip(order, parent, by_first):
+            if root:
+                verts_b.append(v)
+                second |= first
+            else:
+                verts_a.append(v)
+        second &= mask
+        tree_a = edge_ids(mask ^ second), tuple(verts_a)
+        forests.append((tree_a, (edge_ids(second), tuple(verts_b))))
     return forests
 
 
@@ -264,7 +268,8 @@ def psi_determinant(g):
     division-free cofactor expansion.  That determinant is the spanning-tree
     sum ``sum_T prod_{e in T} a_e``; complementing each monomial's support in
     the edge set (so every self-loop variable joins each term) gives psi.
-    Must agree exactly with :func:`psi_enumerate`.
+    Must agree exactly with :func:`psi_enumerate`; both key their terms by
+    the layout codec, which the tests check against decoders of their own.
 
     The expansion runs in Z[a]/(a_e^2) on edge masks, so a product that
     squares an edge variable is never formed.  That is exact: every minor of
@@ -434,9 +439,8 @@ def partial_factor_psi(g, gamma):
     psi_g = psi_enumerate(g)
     keys = _layout(g)  # also the mask -> monomial key codec
     full = (1 << len(keys.ids)) - 1
-    # T n gamma is a spanning forest of gamma when it has rank(gamma) edges:
-    # count the edges of gamma that join two classes, by a union-find over
-    # their ends (psi_G exists, so G has few vertices: no path compression)
+    # rank(gamma), by a union-find over the ends of gamma's edges (psi_G
+    # exists, so G has few vertices: no path compression)
     parent = list(range(len(keys.names)))
     gm = rank = 0
     for eid in gamma:
@@ -452,8 +456,7 @@ def partial_factor_psi(g, gamma):
             rank += 1
     looped = gm & keys.loops
     if looped:  # a self-loop in gamma leaves no quotient graph
-        first = (looped & -looped).bit_length() - 1
-        raise ValueError(f"cannot contract self-loop edge {keys.ids[first]}")
+        raise ValueError(f"cannot contract self-loop edge {keys.edge_ids(looped)[0]}")
     sub_terms, quotient_terms, remainder = {}, {}, {}
     for tree, key in zip(_trees(g), psi_g.terms):  # term i is the complement of tree i
         inside = tree & gm

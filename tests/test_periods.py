@@ -259,6 +259,11 @@ def test_pool_holds_no_more_processes_than_chunks():
     assert (pooled.value, pooled.std_error, pooled.workers) == (serial.value, serial.std_error, 5)
     integrate(banana(1), MASSIVE_SPEC, samples=3 * _CHUNK, seed=3, workers=5)
     assert len(periods._pool[1]._processes) == 3  # grown for a third chunk
+    # 4 chunks on 3 workers are 2 tasks of 2 chunks, so 2 processes
+    serial = integrate(banana(1), MASSIVE_SPEC, samples=4 * _CHUNK, seed=3, workers=1)
+    pooled = integrate(banana(1), MASSIVE_SPEC, samples=4 * _CHUNK, seed=3, workers=3)
+    assert len(periods._pool[1]._processes) == 2
+    assert (pooled.value, pooled.std_error, pooled.workers) == (serial.value, serial.std_error, 3)
 
 
 def test_exit_handler_shuts_the_pool_down():
