@@ -123,10 +123,8 @@ def _first_divergence(g, spec):
     its edge ids.  A child adds one edge above its parent's largest; the
     edge closes a loop when its ends share a class, and otherwise one
     ``bytes.translate`` relabels the larger class as the smaller.
-    ord_S(P) is the least, over P's terms, of the sum over the term's
-    distinct exponents e of (e minus the next lower one) times the popcount
-    of the mask with the term's edges of exponent at least e.  ord_S(xi) is
-    h_S + delta_S (module docstring).
+    ord_S(P) is the least, over P's terms, of the sum of the exponents of
+    the term's edges in S.  ord_S(xi) is h_S + delta_S (module docstring).
 
     Every set left untested has omega > 0.  The empty set has omega 0, and
     a child that closes no loop and leaves delta_S at its parent's value
@@ -146,15 +144,10 @@ def _first_divergence(g, spec):
         )
     # the edges from each position on: (bit, its two ends, whether an edge follows it)
     tails = [[(1 << j, *ends[j], j + 1 < n) for j in range(first, n)] for first in range(n + 1)]
-    levels = []  # per numerator term: (step, mask) of each level
+    terms = []  # per numerator term: (edge bit, exponent) of each variable
     if spec.numerator.is_homogeneous() != 0:
-        for key in spec.numerator.terms:
-            steps, below = [], 0
-            for e in sorted({e for _, e in key}):
-                steps.append((e - below, sum(bit[v] for v, x in key if x >= e)))
-                below = e
-            levels.append(steps)
-    width = nv + len(levels)
+        terms = [[(bit[v], x) for v, x in key] for key in spec.numerator.terms]
+    width = nv + len(terms)
     xi_power = spec.xi_power
     closed = spec.psi_power + xi_power  # omega's weight on h_S
     massive = sum(bit[e.id] for e in g.edges if e.mass_sq)
@@ -173,12 +166,9 @@ def _first_divergence(g, spec):
                     sums[classes[i]] = sums.get(classes[i], 0) + q
                 zero = balanced[classes] = not any(sums.values())
             w -= spec.xi_power * zero
-        if w <= 0 and levels:
-            w += min(sum(step * (mask & level).bit_count() for step, level in t) for t in levels)
+        if w <= 0 and terms:
+            w += min(sum(x for b, x in t if mask & b) for t in terms)
         return w
-
-    def found(mask, w):
-        return layout.edge_ids(mask), w
 
     merges = [[None] * nv for _ in range(nv)]  # filled by _merge
     masks, partitions, loop_numbers = [0], [bytes(range(nv))], [0]
@@ -203,12 +193,12 @@ def _first_divergence(g, spec):
                 if cu == cv:
                     h, joined = loops + 1, classes
                     if h >= fallible and (w := omega(size, mask | b, joined, h)) <= 0:
-                        return found(mask | b, w)
+                        return layout.edge_ids(mask | b), w
                 else:
                     h, joined = loops, classes.translate(merges[cu][cv] or _merge(merges, cu, cv))
                     if (xi_power and (mask | b) & massive == massive
                             and (w := omega(size, mask | b, joined, h)) <= 0):
-                        return found(mask | b, w)
+                        return layout.edge_ids(mask | b), w
                 if more and keep:
                     add_mask(mask | b)
                     add_classes(joined)

@@ -16,7 +16,7 @@ charts are implemented:
 Sampling is partitioned into fixed-size chunks, and chunk c draws from an
 independent stream seeded by (seed, c) regardless of which worker runs it.
 One runner maps the chunks to their partial sums, serially or on the pool
-with one contiguous run of chunks per worker, and the sums come back and
+with one contiguous run of chunks per task, and the sums come back and
 are reduced in chunk order, so a run is reproducible bit for bit for a
 fixed (samples, seed) pair with any worker count.
 
@@ -41,13 +41,13 @@ evaluator shares the partial products of consecutive terms
 (:meth:`~feynperiods.polynomials.SparsePolynomial.evaluate`), which also
 leaves every bit as it was.
 
-Parallel calls run on one process pool per process.  It is created by the
-first call with ``workers > 1`` and reused while later calls ask for the
-same worker count; a call with another count shuts it down and starts a
-new one, so there is one pool at a time.  Its workers stay alive between
-calls, and an exit handler shuts the pool down while the interpreter still
-has the modules its teardown needs.  If a worker dies, the call raises
-``BrokenProcessPool`` and the next call starts a fresh pool.
+A run's chunks are cut into contiguous runs of ceil(chunks / workers)
+chunks, one task each.  One task runs serially; more run on the process's
+one pool, which a call replaces, by one of a process per task, only when
+it has more tasks than the pool has processes.  Its workers stay alive
+between calls, and an exit handler shuts the pool down while the
+interpreter still has the modules its teardown needs.  If a worker dies,
+the call raises ``BrokenProcessPool`` and the next call starts afresh.
 """
 
 from __future__ import annotations
@@ -201,7 +201,7 @@ def _run_chunk(sampler, seed, samples, edge_ids, numerator, denominators, chunk)
     return total, float(vals.sum())
 
 
-_pool = None  # (workers, ProcessPoolExecutor, its process count): the one pool of this process
+_pool = None  # (its process count, ProcessPoolExecutor): the one pool of this process
 _pool_lock = threading.Lock()
 
 
@@ -215,27 +215,24 @@ def _shutdown_pool():
             _pool = None
 
 
-def _run_on_pool(workers, run_chunk, n_chunks):
-    """Chunk results, in chunk order, from the process's pool for ``workers`` workers.
+def _run_on_pool(tasks, chunksize, run_chunk, n_chunks):
+    """Chunk results, in chunk order, from ``tasks`` runs of ``chunksize`` chunks on the pool.
 
-    The chunks are cut into at most ``workers`` contiguous runs, one task
-    each, on a pool of one process per task (a forking executor starts them
-    all at once), kept for later calls with the same worker count that it
-    can hold.  A broken pool (a worker died) is dropped and the error
-    re-raised, so the next call starts afresh.
+    A pool with fewer than ``tasks`` processes is replaced by one of exactly
+    ``tasks`` (a forking executor starts them all at once); a larger one
+    serves as it is.  A broken pool (a worker died) is dropped and the
+    error re-raised, so the next call starts afresh.
     """
     global _pool
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
-    chunksize = -(-n_chunks // workers)
-    size = -(-n_chunks // chunksize)  # the number of tasks
     with _pool_lock:
-        if _pool is not None and (_pool[0] != workers or _pool[2] < size):
+        if _pool is not None and _pool[0] < tasks:
             _pool[1].shutdown()
             _pool = None
         if _pool is None:
-            _pool = (workers, ProcessPoolExecutor(max_workers=size), size)
+            _pool = (tasks, ProcessPoolExecutor(max_workers=tasks))
         pool = _pool[1]
         try:
             return list(pool.map(run_chunk, range(n_chunks), chunksize=chunksize))
@@ -307,10 +304,12 @@ def integrate(
     )
 
     n_chunks = -(-samples // _CHUNK)
-    if workers == 1 or n_chunks == 1:
+    chunksize = -(-n_chunks // workers)
+    tasks = -(-n_chunks // chunksize)  # 1 exactly when workers == 1 or n_chunks == 1
+    if tasks == 1:
         results = map(run_chunk, range(n_chunks))
     else:
-        results = _run_on_pool(workers, run_chunk, n_chunks)
+        results = _run_on_pool(tasks, chunksize, run_chunk, n_chunks)
     s1 = 0.0
     s2 = 0.0
     for chunk_sum, chunk_sq in results:  # chunk order keeps the reduction deterministic
@@ -323,7 +322,7 @@ def integrate(
             f"the integrand hit psi = 0 or xi = 0 at some sample (mean {mean}, "
             f"variance {var}); a small boundary_bias can underflow the draws to 0"
         )
-    std_error = math.sqrt(max(0.0, var) / max(1, samples - 1))
+    std_error = math.sqrt(max(0.0, var) / (samples - 1))
     return PeriodEstimate(
         value=mean, std_error=std_error, samples=samples, seed=seed, workers=workers
     )

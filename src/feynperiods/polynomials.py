@@ -357,11 +357,7 @@ _store_terms = SparsePolynomial.terms.__set__
 
 
 def _merge_keys(k1: MonomialKey, k2: MonomialKey) -> MonomialKey:
-    """Product of two canonical monomial keys: merge the sorted pairs, adding shared exponents."""
-    if not k1:
-        return k2
-    if not k2:
-        return k1
+    """Product of two nonempty canonical keys: merge the sorted pairs, adding shared exponents."""
     out = []
     i = j = 0
     n1, n2 = len(k1), len(k2)
