@@ -105,12 +105,6 @@ def _packed_flows(g):
     return [(index[v], sum(q * k**i for i, q in enumerate(qs))) for v, qs in scaled.items()]
 
 
-def _merge(merges, a, b):
-    """Keep and return in ``merges[a][b]`` the table that relabels max(a, b) as min(a, b)."""
-    table = merges[a][b] = bytes.maketrans(bytes([max(a, b)]), bytes([min(a, b)]))
-    return table
-
-
 def _first_divergence(g, spec):
     """The first edge set with omega <= 0, and its omega, or ``(None, None)``.
 
@@ -122,7 +116,8 @@ def _first_divergence(g, spec):
     i-th smallest vertex name), which also turns the witness's mask back into
     its edge ids.  A child adds one edge above its parent's largest; the
     edge closes a loop when its ends share a class, and otherwise one
-    ``bytes.translate`` relabels the larger class as the smaller.
+    ``bytes.translate`` by the layout's joins (``_Layout.vertex_classes``,
+    as in the forest sweep) relabels the larger class as the smaller.
     ord_S(P) is the least, over P's terms, of the sum of the exponents of
     the term's edges in S.  ord_S(xi) is h_S + delta_S (module docstring).
 
@@ -136,12 +131,8 @@ def _first_divergence(g, spec):
     no layer that no later layer extends.
     """
     layout = _layout(g)
-    n, bit, ends, nv = len(layout.ids), layout.bit, layout.ends, len(layout.names)
-    if nv > 256:
-        raise ValueError(
-            f"the convergence test labels vertex classes in one byte: {nv} vertices, "
-            "more than 256"
-        )
+    start, joins = layout.vertex_classes("the convergence test")
+    n, bit, ends, nv = len(layout.ids), layout.bit, layout.ends, len(start)
     # the edges from each position on: (bit, its two ends, whether an edge follows it)
     tails = [[(1 << j, *ends[j], j + 1 < n) for j in range(first, n)] for first in range(n + 1)]
     terms = []  # per numerator term: (edge bit, exponent) of each variable
@@ -170,8 +161,7 @@ def _first_divergence(g, spec):
             w += min(sum(x for b, x in t if mask & b) for t in terms)
         return w
 
-    merges = [[None] * nv for _ in range(nv)]  # filled by _merge
-    masks, partitions, loop_numbers = [0], [bytes(range(nv))], [0]
+    masks, partitions, loop_numbers = [0], [start], [0]
     for size in range(1, n):
         subsets = comb(n, size)
         if subsets * width > _LAYER_CELLS:
@@ -195,7 +185,7 @@ def _first_divergence(g, spec):
                     if h >= fallible and (w := omega(size, mask | b, joined, h)) <= 0:
                         return layout.edge_ids(mask | b), w
                 else:
-                    h, joined = loops, classes.translate(merges[cu][cv] or _merge(merges, cu, cv))
+                    h, joined = loops, classes.translate(joins[cu][cv])
                     if (xi_power and (mask | b) & massive == massive
                             and (w := omega(size, mask | b, joined, h)) <= 0):
                         return layout.edge_ids(mask | b), w

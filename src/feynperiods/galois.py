@@ -218,7 +218,7 @@ def galois_conjugate_span(period_name):
     if not isinstance(period_name, str):
         raise ValueError(f"period name must be a string, got {period_name!r}")
     name = period_name.strip().lower().replace(" ", "").replace("*", "")
-    if name in ("2pii", "2pi*i", "2(pi)i", "2ipi"):
+    if name in ("2pii", "2(pi)i", "2ipi"):
         return ("2*pi*i",)
     if name in ("log2", "log(2)"):
         return ("log(2)", "1")

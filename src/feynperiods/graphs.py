@@ -112,6 +112,27 @@ class _Layout(dict):
         self.bit = {eid: 1 << i for i, eid in enumerate(self.ids)}
         self.ends = [(self.index[e.ends[0]], self.index[e.ends[1]]) for e in edges]
         self.loops = sum(1 << i for i, (u, v) in enumerate(self.ends) if u == v)
+        self._classes = None
+
+    def vertex_classes(self, what):
+        """``(bytes(range(n)), joins)``: the vertex classes of every edge-subset sweep.
+
+        A byte per vertex names its class by the smallest vertex index in it, and
+        ``classes.translate(joins[a][b])`` relabels class max(a, b) as min(a, b).
+        The table is built on first use; more than 256 vertices are refused.
+        """
+        if self._classes is None:
+            nv = len(self.names)
+            if nv > 256:
+                raise ValueError(
+                    f"{what} labels vertex classes in one byte: {nv} vertices, more than 256"
+                )
+            joins = [[None] * nv for _ in range(nv)]
+            for a in range(nv):
+                for b in range(a):
+                    joins[a][b] = joins[b][a] = bytes.maketrans(bytes((a,)), bytes((b,)))
+            self._classes = bytes(range(nv)), joins
+        return self._classes
 
     def edge_ids(self, mask):
         """The ids of the edges in ``mask``, ascending."""

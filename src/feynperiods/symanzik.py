@@ -21,11 +21,14 @@ For a connected graph G with edge variables a_e:
       xi_G = phi_G + (sum_e m_e^2 a_e) * psi_G
 
 psi and phi are sums over spanning k-forests (k = 1 and k = 2), and so is
-psi_gamma below.  One enumerator produces the forests for every k as edge
-masks of ``graphs._layout``, and one function sums them: the layout's codec
-keys each term by the forest's complement mask, and distinct forests have
-distinct complements, so no key is summed and no term needs the validating
-constructor.  Edge ids appear only where :func:`spanning_trees` and
+psi_gamma below.  One sweep grows the forests for every k in layers, each
+forest an edge mask of ``graphs._layout`` with its vertex classes in the
+layout's one format, a byte per vertex (so at most 256 vertices), which the
+convergence walk reads too; phi reads T1 off the classes as class 0.  One
+function sums the forests: the layout's codec keys each term by the
+forest's complement mask, and distinct forests have distinct complements,
+so no key is summed and no term needs the validating constructor.  Edge
+ids appear only where :func:`spanning_trees` and
 :func:`spanning_two_forests` decode the masks.  phi squares the momentum of
 each leg partition once, however many forests share it.  psi, phi, xi and
 the tree masks are kept per graph (``graphs._once_per_graph``).
@@ -55,7 +58,7 @@ psi_gamma, their other parts psi_{G/gamma}, and all other terms form R, whose
 gamma-degree is strictly greater than h_gamma.  The split works on edge
 masks: term i of psi is the complement of tree mask i, and lies in the
 product exactly when ``tree & gamma_mask`` has rank(gamma) = |gamma| -
-h_gamma edges, counted by a union-find over gamma's edge ends; the codec
+h_gamma edges, counted by joining the byte classes over gamma's edges; the codec
 keys the term's parts inside and outside gamma, so one pass over the trees
 builds all three parts.  The analogous xi decompositions isolate ultraviolet
 (contract gamma) and infrared (gamma carries all mass and momentum
@@ -66,8 +69,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from operator import itemgetter
 
 from .graphs import _edge_set, _layout, _once_per_graph, _require_connected
 from .polynomials import SparsePolynomial, _normalize_coeff
@@ -75,51 +76,46 @@ from .polynomials import SparsePolynomial, _normalize_coeff
 
 # -- spanning forests ------------------------------------------------------
 
-_bit = itemgetter(2)
-
 
 def _spanning_forests(g, k):
-    """Yield ``(mask, parent)`` for every spanning k-forest of ``g``.
+    """``(mask, classes)`` of every spanning k-forest of ``g``, in lexicographic order.
 
     A spanning k-forest is a set of n - k non-loop edges (n vertices) with no
-    cycle; it has exactly k trees, so a graph with more than k components has
-    none.  ``mask`` has bit i for the i-th smallest edge id (``graphs._layout``),
-    and forests come in lexicographic order of their ids.  ``parent`` is the
-    union-find array over the layout's vertex indices; every link points to
-    a smaller index, so one ascending pass of ``parent[i] = parent[parent[i]]``
-    names each tree by its smallest vertex.
+    cycle.  ``mask`` has bit i for the i-th smallest edge id and ``classes``
+    one byte per vertex, the smallest vertex index of its tree, both in
+    ``graphs._layout``.  The forests grow in layers, as the convergence walk's
+    edge sets do: a child adds an edge above its parent's last one, if enough
+    edges are left above it to finish the forest; an edge whose ends share a
+    class would close a cycle, and any other joins its two trees by one
+    ``bytes.translate``.  A graph with more than k components has no
+    spanning k-forest, but the sweep does not check that, so callers do.
     """
     layout = _layout(g)
-    n = len(layout.names)
-    if n < k or len(g.components()) > k:
-        return
-    pairs = [(u, v, 1 << i) for i, (u, v) in enumerate(layout.ends) if u != v]
-    for combo in combinations(pairs, n - k):
-        parent = list(range(n))
-        # inline on purpose: a union helper called per edge costs exact_polynomials 4% wall time
-        for a, b, _ in combo:
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            while parent[b] != b:
-                parent[b] = parent[parent[b]]
-                b = parent[b]
-            if a == b:
-                break  # a cycle
-            if a < b:
-                a, b = b, a
-            parent[a] = b
-        else:
-            yield sum(map(_bit, combo)), parent
+    start, joins = layout.vertex_classes("the forest sweep")
+    size = len(start) - k
+    if size < 0:
+        return []
+    pairs = [(1 << i, u, v) for i, (u, v) in enumerate(layout.ends) if u != v]
+    # a forest as (mask, the first position in pairs its next edge may take,
+    # classes); a layer adds its edge below stop, so enough are left to finish
+    layer = [(0, 0, start)]
+    for stop in range(len(pairs) - size + 1, len(pairs) + 1):
+        grown = []
+        for mask, first, classes in layer:
+            for j in range(first, stop):
+                b, u, v = pairs[j]
+                cu, cv = classes[u], classes[v]
+                if cu != cv:
+                    grown.append((mask | b, j + 1, classes.translate(joins[cu][cv])))
+        layer = grown
+    return [(mask, classes) for mask, _, classes in layer]
 
 
 @_once_per_graph
 def _trees(g):
     """The spanning trees of ``g`` as edge masks, swept once and kept by ``_once_per_graph``."""
-    trees = [mask for mask, _ in _spanning_forests(g, 1)]
-    if not trees:  # a connected graph has at least one
-        _require_connected(g, "spanning tree enumeration")
-    return trees
+    _require_connected(g, "spanning tree enumeration")
+    return [mask for mask, _ in _spanning_forests(g, 1)]
 
 
 def spanning_trees(g):
@@ -146,13 +142,10 @@ def spanning_two_forests(g):
     for i, (u, _) in enumerate(layout.ends):
         by_first[u] |= 1 << i
     forests = []
-    for mask, parent in _spanning_forests(g, 2):
-        for i in range(len(order)):
-            parent[i] = parent[parent[i]]
-        # now parent[i] is the root of vertex i; vertex 0 is a root
+    for mask, classes in _spanning_forests(g, 2):
         verts_a, verts_b, second = [], [], 0
-        for v, root, first in zip(order, parent, by_first):
-            if root:
+        for v, cls, first in zip(order, classes, by_first):
+            if cls:  # not in the tree of vertex 0
                 verts_b.append(v)
                 second |= first
             else:
@@ -326,9 +319,8 @@ def phi(g):
     spanning tree of G has an edge whose two sides carry nonzero momentum.
     Each square (q^{T1})^2 is computed once per leg partition: forests
     whose first tree holds the same momentum-carrying vertices share it.
-    T1 is the tree of the smallest vertex, which is a root of the
-    union-find array, so only the momentum-carrying vertices are walked to
-    their roots.
+    T1 is the tree of the smallest vertex, class 0 of the forest's byte
+    classes, so its momentum-carrying vertices are read off the classes.
     """
     _require_connected(g, "phi")
     by_vertex = _net_momenta(g)
@@ -337,14 +329,8 @@ def phi(g):
     legged = [(i, v) for i, v in enumerate(_layout(g).names) if v in by_vertex]
     squares = {}  # momentum-carrying vertices of T1 -> (q^{T1})^2
     forests = []
-    for mask, parent in _spanning_forests(g, 2):
-        part = []
-        for i, v in legged:
-            while parent[i] != i:
-                i = parent[i]
-            if i == 0:
-                part.append(v)
-        part = tuple(part)
+    for mask, classes in _spanning_forests(g, 2):
+        part = tuple([v for i, v in legged if not classes[i]])
         coeff = squares.get(part)
         if coeff is None:
             total = [sum(qs, Fraction(0)) for qs in zip(*(by_vertex[v] for v in part))]
@@ -439,20 +425,16 @@ def partial_factor_psi(g, gamma):
     psi_g = psi_enumerate(g)
     keys = _layout(g)  # also the mask -> monomial key codec
     full = (1 << len(keys.ids)) - 1
-    # rank(gamma), by a union-find over the ends of gamma's edges (psi_G
-    # exists, so G has few vertices: no path compression)
-    parent = list(range(len(keys.names)))
+    # rank(gamma): the edges of gamma that join two vertex classes
+    classes, joins = keys.vertex_classes("the forest sweep")
     gm = rank = 0
     for eid in gamma:
         bit = keys.bit[eid]
         gm |= bit
-        a, b = keys.ends[bit.bit_length() - 1]
-        while parent[a] != a:
-            a = parent[a]
-        while parent[b] != b:
-            b = parent[b]
-        if a != b:
-            parent[a] = b
+        u, v = keys.ends[bit.bit_length() - 1]
+        cu, cv = classes[u], classes[v]
+        if cu != cv:
+            classes = classes.translate(joins[cu][cv])
             rank += 1
     looped = gm & keys.loops
     if looped:  # a self-loop in gamma leaves no quotient graph

@@ -16,6 +16,7 @@ from feynperiods.divergence import (
 )
 from feynperiods.graphs import Edge, ExternalLeg, FeynmanGraph, graph_from_dict, load_graph
 from feynperiods.polynomials import SparsePolynomial, parse_polynomial
+from feynperiods.symanzik import psi_enumerate, spanning_two_forests
 
 triangle = load_graph("fixtures/triangle.json")
 banana = load_graph("fixtures/banana.json")
@@ -177,6 +178,17 @@ def test_vertex_classes_fit_in_one_byte():
         is_primitive(cycle(256))
     with pytest.raises(ValueError, match="257 vertices, more than 256"):
         is_primitive(cycle(257))
+
+
+def test_forest_sweeps_share_the_one_byte_limit():
+    # the forest sweep reads the walk's byte classes, so it stops where the walk does
+    assert len(psi_enumerate(cycle(256)).terms) == 256
+    for sweep in (psi_enumerate, spanning_two_forests):
+        with pytest.raises(
+            ValueError,
+            match="the forest sweep labels vertex classes in one byte: 257 vertices, more than 256",
+        ):
+            sweep(cycle(257))
 
 
 def test_phi4_eligibility():

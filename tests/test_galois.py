@@ -159,6 +159,8 @@ def test_compose_identity_and_units():
 
 def test_spans():
     assert galois_conjugate_span("2pii") == ("2*pi*i",)
+    for name in ("2*pi*i", "2 pi i", "2(pi)i"):
+        assert galois_conjugate_span(name) == ("2*pi*i",)
     assert galois_conjugate_span("log2") == ("log(2)", "1")
     assert galois_conjugate_span("zeta(6)") == ("zeta(6)",)
     assert galois_conjugate_span("zeta(7)") == ("zeta(7)", "1")

@@ -322,6 +322,35 @@ def test_psi_term_i_is_the_complement_of_tree_i(g):
 
 @settings(max_examples=150, deadline=None)
 @given(g=decorated_multigraphs())
+def test_forest_sweep_is_the_acyclic_subsets_in_order(g):
+    # every spanning k-forest, in the order combinations gives the acyclic
+    # (n - k)-subsets of non-loop edges, with each vertex labelled by the
+    # smallest vertex index of its tree
+    def root(parent, x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    layout = _layout(g)
+    n = len(layout.names)
+    pairs = [(1 << i, u, v) for i, (u, v) in enumerate(layout.ends) if u != v]
+    for k in range(1, n + 1):
+        want = []
+        for combo in combinations(pairs, n - k):
+            parent = list(range(n))
+            for _, u, v in combo:
+                a, b = root(parent, u), root(parent, v)
+                if a == b:
+                    break
+                parent[max(a, b)] = min(a, b)
+            else:
+                classes = bytes(root(parent, x) for x in range(n))
+                want.append((sum(b for b, _, _ in combo), classes))
+        assert list(_spanning_forests(g, k)) == want, k
+
+
+@settings(max_examples=150, deadline=None)
+@given(g=decorated_multigraphs())
 def test_phi_and_xi_coefficients_are_positive(g):
     # masses are nonnegative and every phi coefficient is a Euclidean square,
     # so no xi leaves the Euclidean region and integrate need not check one

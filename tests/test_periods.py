@@ -1,7 +1,6 @@
 """Monte Carlo period integration: exactness, reproducibility, consistency."""
 
 import functools
-import itertools
 import math
 import re
 import time
@@ -360,12 +359,13 @@ TWO_WHEELS = wheels(4, 4)
 )
 def test_nothing_is_enumerated_before_a_refusal(monkeypatch, run, message):
     calls = []
+    sweep = symanzik._spanning_forests
 
-    def counted(*args):
-        calls.append(args)
-        return itertools.combinations(*args)
+    def counted(g, k):
+        calls.append(len(g.vertices) - k)
+        return sweep(g, k)
 
-    monkeypatch.setattr(symanzik, "combinations", counted)
+    monkeypatch.setattr(symanzik, "_spanning_forests", counted)
     with pytest.raises(ValueError, match=re.escape(message)):
         run()
     assert calls == []
@@ -409,12 +409,13 @@ def test_each_forest_sweep_runs_once_per_graph(monkeypatch, run):
     convergent, _, _, certified = convergence(massive_wheel(4), A1_OVER_PSI_XI)
     assert convergent and certified
     sizes = []
+    sweep = symanzik._spanning_forests
 
-    def counted(pairs, size):
-        sizes.append(size)
-        return itertools.combinations(pairs, size)
+    def counted(g, k):
+        sizes.append(len(g.vertices) - k)
+        return sweep(g, k)
 
-    monkeypatch.setattr(symanzik, "combinations", counted)
+    monkeypatch.setattr(symanzik, "_spanning_forests", counted)
     g = massive_wheel(4)
     run(g)
     n = len(g.vertices)
@@ -426,12 +427,13 @@ def test_gate_certifies_massive_wheels_without_a_sweep(monkeypatch, spokes):
     # ord_S(xi) comes from the vertex classes, so the gate builds no graph
     # polynomial and its layer cap counts no xi term
     calls = []
+    sweep = symanzik._spanning_forests
 
-    def counted(*args):
-        calls.append(args)
-        return itertools.combinations(*args)
+    def counted(g, k):
+        calls.append(len(g.vertices) - k)
+        return sweep(g, k)
 
-    monkeypatch.setattr(symanzik, "combinations", counted)
+    monkeypatch.setattr(symanzik, "_spanning_forests", counted)
     assert convergence(massive_wheel(spokes), A1_OVER_PSI_XI) == (True, None, None, True)
     assert calls == []
 
@@ -450,12 +452,13 @@ def test_phi_without_net_momentum_sweeps_no_forest(monkeypatch, legs):
     # no vertex carries net momentum, so every (q^T1)^2 is 0: phi is zero
     # without a 2-forest sweep, and xi is the mass term times psi
     sizes = []
+    sweep = symanzik._spanning_forests
 
-    def counted(pairs, size):
-        sizes.append(size)
-        return itertools.combinations(pairs, size)
+    def counted(g, k):
+        sizes.append(len(g.vertices) - k)
+        return sweep(g, k)
 
-    monkeypatch.setattr(symanzik, "combinations", counted)
+    monkeypatch.setattr(symanzik, "_spanning_forests", counted)
     g = massive_wheel(4, legs)
     s = SymanzikSet.of(g)
     assert s.phi.is_zero() and s.xi == symanzik.mass_term(g) * s.psi
