@@ -57,6 +57,14 @@ def _classes(vertices, pairs):
     return parent
 
 
+@functools.cache
+def _joins(n):
+    joins = [[None] * n for _ in range(n)]
+    for low, high in combinations(range(n), 2):
+        joins[low][high] = joins[high][low] = bytes.maketrans(bytes((high,)), bytes((low,)))
+    return tuple(map(tuple, joins))
+
+
 def _edge_set(g, edge_ids):
     """The distinct ids of ``edge_ids``, sorted; the smallest unknown id is an error.
 
@@ -112,27 +120,20 @@ class _Layout(dict):
         self.bit = {eid: 1 << i for i, eid in enumerate(self.ids)}
         self.ends = [(self.index[e.ends[0]], self.index[e.ends[1]]) for e in edges]
         self.loops = sum(1 << i for i, (u, v) in enumerate(self.ends) if u == v)
-        self._classes = None
 
     def vertex_classes(self, what):
-        """``(bytes(range(n)), joins)``: the vertex classes of every edge-subset sweep.
+        """``(bytes(range(n)), _joins(n))``: the vertex classes of every edge-subset sweep.
 
         A byte per vertex names its class by the smallest vertex index in it, and
         ``classes.translate(joins[a][b])`` relabels class max(a, b) as min(a, b).
-        The table is built on first use; more than 256 vertices are refused.
+        ``joins[a][b] is joins[b][a]``, in one table per vertex count that every graph
+        shares, built on first use; more than 256 vertices are refused before any is built.
         """
-        if self._classes is None:
-            nv = len(self.names)
-            if nv > 256:
-                raise ValueError(
-                    f"{what} labels vertex classes in one byte: {nv} vertices, more than 256"
-                )
-            joins = [[None] * nv for _ in range(nv)]
-            for a in range(nv):
-                for b in range(a):
-                    joins[a][b] = joins[b][a] = bytes.maketrans(bytes((a,)), bytes((b,)))
-            self._classes = bytes(range(nv)), joins
-        return self._classes
+        if (nv := len(self.names)) > 256:
+            raise ValueError(
+                f"{what} labels vertex classes in one byte: {nv} vertices, more than 256"
+            )
+        return bytes(range(nv)), _joins(nv)
 
     def edge_ids(self, mask):
         """The ids of the edges in ``mask``, ascending."""
@@ -372,10 +373,10 @@ def graph_from_dict(data):
 
 def load_graph(path):
     """Read a graph from a JSON file (see :func:`graph_from_dict`)."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:  # JSON is UTF-8 (RFC 8259)
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ValueError(f"{path}: not valid JSON ({exc})") from None
     try:
         return graph_from_dict(data)

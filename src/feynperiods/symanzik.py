@@ -115,7 +115,9 @@ def _spanning_forests(g, k):
 def _trees(g):
     """The spanning trees of ``g`` as edge masks, swept once and kept by ``_once_per_graph``."""
     _require_connected(g, "spanning tree enumeration")
-    return [mask for mask, _ in _spanning_forests(g, 1)]
+    # the empty graph's one spanning forest has no tree and no edge, and makes psi
+    # 1, as the determinant of its 0 x 0 reduced Laplacian does
+    return [mask for mask, _ in _spanning_forests(g, min(1, len(g.vertices)))]
 
 
 def spanning_trees(g):

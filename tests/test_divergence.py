@@ -14,7 +14,9 @@ from feynperiods.divergence import (
     subgraph_loop_number,
     weight_bound,
 )
-from feynperiods.graphs import Edge, ExternalLeg, FeynmanGraph, graph_from_dict, load_graph
+from feynperiods.graphs import (
+    Edge, ExternalLeg, FeynmanGraph, _joins, _layout, graph_from_dict, load_graph,
+)
 from feynperiods.polynomials import SparsePolynomial, parse_polynomial
 from feynperiods.symanzik import psi_enumerate, spanning_two_forests
 
@@ -178,6 +180,17 @@ def test_vertex_classes_fit_in_one_byte():
         is_primitive(cycle(256))
     with pytest.raises(ValueError, match="257 vertices, more than 256"):
         is_primitive(cycle(257))
+
+
+def test_graphs_of_one_vertex_count_share_one_join_table():
+    first, second = (_layout(cycle(5)).vertex_classes("the walk")[1] for _ in range(2))
+    assert first is second
+    for n in range(13):
+        joins = _joins(n)
+        for a in range(n):
+            for b in range(a):
+                assert joins[a][b] is joins[b][a]
+                assert joins[a][b] == bytes.maketrans(bytes((a,)), bytes((b,)))
 
 
 def test_forest_sweeps_share_the_one_byte_limit():

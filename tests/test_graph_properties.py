@@ -8,7 +8,7 @@ from itertools import combinations, permutations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from feynperiods.divergence import (
@@ -80,6 +80,7 @@ def polynomials(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(g=connected_multigraphs())
+@example(g=FeynmanGraph((), ()))
 def test_psi_enumeration_equals_determinant(g):
     psi = psi_enumerate(g)
     assert psi == psi_determinant(g)

@@ -201,6 +201,10 @@ def test_load_graph_error_paths(tmp_path):
     with pytest.raises(ValueError, match="not valid JSON"):
         load_graph(str(p))
 
+    p.write_bytes(b"\xff\xfe{}")  # JSON is UTF-8, so a UTF-16 mark is an error that names the file
+    with pytest.raises(ValueError, match=r"bad\.json: not valid JSON \('utf-8' codec"):
+        load_graph(str(p))
+
     p.write_text(json.dumps({"vertices": ["u", "v"], "edges": [
         {"id": 1, "ends": ["u", "v"], "mass_sq": "-2"}]}))
     with pytest.raises(ValueError, match="bad.json"):
