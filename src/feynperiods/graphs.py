@@ -32,6 +32,7 @@ from fractions import Fraction
 import functools
 from itertools import combinations
 import json
+import threading
 
 from .polynomials import _as_fraction, _as_int
 
@@ -57,12 +58,20 @@ def _classes(vertices, pairs):
     return parent
 
 
-@functools.cache
+_join_table = ()  # the one join table of this process, built on first use
+_join_lock = threading.Lock()
+
+
 def _joins(n):
-    joins = [[None] * n for _ in range(n)]
-    for low, high in combinations(range(n), 2):
-        joins[low][high] = joins[high][low] = bytes.maketrans(bytes((high,)), bytes((low,)))
-    return tuple(map(tuple, joins))
+    """The process's join table, replaced by one of exactly n vertices only to grow."""
+    global _join_table
+    with _join_lock:
+        if len(_join_table) < n:
+            joins = [[None] * n for _ in range(n)]
+            for a, b in combinations(range(n), 2):
+                joins[a][b] = joins[b][a] = bytes.maketrans(bytes((b,)), bytes((a,)))
+            _join_table = tuple(map(tuple, joins))
+        return _join_table
 
 
 def _edge_set(g, edge_ids):
@@ -126,8 +135,9 @@ class _Layout(dict):
 
         A byte per vertex names its class by the smallest vertex index in it, and
         ``classes.translate(joins[a][b])`` relabels class max(a, b) as min(a, b).
-        ``joins[a][b] is joins[b][a]``, in one table per vertex count that every graph
-        shares, built on first use; more than 256 vertices are refused before any is built.
+        ``joins[a][b] is joins[b][a]``, in the one table of the process, which covers at
+        least n vertices: a sweep reads only rows and columns below n, so every graph
+        shares it.  More than 256 vertices are refused before any table is built.
         """
         if (nv := len(self.names)) > 256:
             raise ValueError(

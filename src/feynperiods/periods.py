@@ -30,11 +30,10 @@ Each block is transposed once into per-variable columns of shape
 integrand step serves every chart: it multiplies the weights by the
 numerator and divides them by each denominator power in place, and writes
 the block into the chunk's one vector, so the many array passes stay in
-cache.  A reduction across the variables is a vector pass over whole
-columns in the order numpy takes along a row: the simplex normalisation
-adds the columns in numpy's pairwise order (``_row_sums``), and the
-Dirichlet density ratio and the affine Jacobian multiply them left to
-right, as ``np.prod`` does.  Every other step is elementwise, and the
+cache.  Every reduction across the variables is one vector pass over
+whole columns, taken left to right: the simplex normalisation adds them,
+and the Dirichlet density ratio and the affine Jacobian multiply them, as
+``np.prod`` does along a row.  Every other step is elementwise, and the
 chunk's two sums still run over the whole chunk, so neither the blocks nor
 the column layout can change a single bit of the result.  The polynomial
 evaluator shares the partial products of consecutive terms
@@ -106,30 +105,9 @@ class PeriodEstimate:
 
 
 def _row_sums(cols):
-    """Sums over the first axis of ``cols``, equal bit for bit to ``cols.T.sum(axis=1)``.
-
-    numpy sums each row pairwise: below 8 entries left to right; up to 128
-    in eight running accumulators, combined as
-    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the leftover entries one at a
-    time; beyond 128 as the sum of two halves, the first cut down to a
-    multiple of 8.  It adds that sum to 0.0, which turns -0.0 into 0.0;
-    starting each accumulator from its first entry plus 0.0 gives the same
-    bits.  Here each of these steps is one vector pass over whole columns.
-    """
-    n = len(cols)
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _row_sums(cols[:half]) + _row_sums(cols[half:])
-    if n < 8:
-        s = cols[0] + 0.0
-        for c in cols[1:]:
-            s += c
-        return s
-    r = cols[:8] + 0.0
-    for i in range(8, n - n % 8, 8):
-        r += cols[i:i + 8]
-    s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    for c in cols[n - n % 8:]:
+    """The sums over the first axis of ``cols``, taken left to right."""
+    s = cols[0] + 0.0
+    for c in cols[1:]:
         s += c
     return s
 
@@ -148,7 +126,8 @@ def _simplex_volume(n, b):
 def _simplex(rng, m, n, b):
     """Blocks of Dirichlet(b) points on the simplex, as (n, rows) columns, and their weights.
 
-    Each block's Gamma(b) draws are taken from ``rng`` as the block is built.
+    Each block's Gamma(b) draws are taken from ``rng`` as the block is built,
+    and each point is divided by the sum of its coordinates, taken left to right.
     """
     import numpy as np
 

@@ -1,10 +1,13 @@
 """Power counting and the subgraph convergence test."""
 
+import sys
+import threading
 import tracemalloc
 from math import comb
 
 import pytest
 
+from feynperiods import graphs
 from feynperiods.divergence import (
     IntegrandSpec,
     convergence,
@@ -191,6 +194,41 @@ def test_graphs_of_one_vertex_count_share_one_join_table():
             for b in range(a):
                 assert joins[a][b] is joins[b][a]
                 assert joins[a][b] == bytes.maketrans(bytes((a,)), bytes((b,)))
+
+
+def test_a_smaller_graph_reads_the_larger_join_table():
+    # one table per process, replaced only to grow: an 8-vertex sweep reads
+    # rows and columns below 8 of the table that covers 64
+    big = _joins(64)
+    assert len(big) >= 64
+    assert _joins(8) is big
+    assert _layout(cycle(8)).vertex_classes("the walk")[1] is big
+
+
+def test_join_table_grows_safely_under_threads(monkeypatch):
+    # threads that grow the table at once each get a table that covers
+    # their own count, and the table never shrinks
+    monkeypatch.setattr(graphs, "_join_table", ())
+    short = []
+
+    def ask(counts):
+        for n in counts:
+            if len(_joins(n)) < n:
+                short.append(n)
+
+    threads = [threading.Thread(target=ask, args=(range(k, 80, 4),)) for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert short == []
+    assert len(_joins(0)) == 79
 
 
 def test_forest_sweeps_share_the_one_byte_limit():

@@ -21,7 +21,7 @@ def loaded():
 
 
 import feynperiods
-assert feynperiods.graphs._joins.cache_info().currsize == 0, "a join table built at import"
+assert feynperiods.graphs._join_table == (), "a join table built at import"
 from feynperiods import cli
 
 assert loaded() == [], ("import feynperiods", loaded())

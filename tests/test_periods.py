@@ -95,8 +95,8 @@ GOLDEN_NUMERATOR = IntegrandSpec(
         ),
         ("banana", MASSIVE_SPEC, {}, "0.8609072548564936", "0.00010327697316276544"),
         ("k4", GOLDEN_NUMERATOR, {"boundary_bias": 0.5}, "1.6556691566475952", "0.009685832666004967"),
-        # 8 variables: the normalising row sum takes numpy's eight-accumulator branch
-        ("wheel4", None, {"boundary_bias": 0.5}, "21.788702963102715", "1.1503290594625264"),
+        # 8 variables: the normalising sum adds them left to right, as every other width
+        ("wheel4", None, {"boundary_bias": 0.5}, "21.78870296310272", "1.1503290594625264"),
         # the Jacobian multiplies 5 columns
         ("k4", None, {"chart": "affine"}, "7.3457062311012775", "0.2774633805199603"),
     ],
@@ -118,9 +118,9 @@ def _bits(a):
 
 
 def test_row_sums_match_numpy_bit_for_bit():
-    # every width through numpy's three branches (< 8, 8 to 128, halves
-    # beyond), on rows that mix magnitudes from 1e-300 to 1e300, signs and
-    # signed zeros
+    # left to right, as a row-wise cumsum, on rows that mix magnitudes from
+    # 1e-300 to 1e300, signs and signed zeros; the sum starts from the first
+    # entry plus 0.0, so a zero sum is 0.0, never -0.0
     rng = np.random.default_rng(20261019)
     for n in range(1, 301):
         d = 10.0 ** rng.uniform(-300, 300, size=(40, n))
@@ -128,7 +128,7 @@ def test_row_sums_match_numpy_bit_for_bit():
         d[30:] *= rng.random(size=(10, n)) < 0.5
         d[39] = -0.0
         got = periods._row_sums(np.ascontiguousarray(d.T))
-        assert np.array_equal(_bits(got), _bits(d.sum(axis=1))), n
+        assert np.array_equal(_bits(got), _bits(np.cumsum(d, axis=1)[:, -1] + 0.0)), n
 
 
 @settings(max_examples=25, deadline=None)
@@ -140,9 +140,12 @@ def test_row_sums_match_numpy_bit_for_bit():
 )
 @example(n=8, m=_BLOCK + 1, b=0.5, seed=0)
 @example(n=10, m=2 * _BLOCK + 3, b=0.3, seed=1)
+# a last block of one row: numpy would sum an (n, 1) block pairwise at these widths
+@example(n=9, m=_BLOCK + 1, b=0.5, seed=2)
+@example(n=16, m=_BLOCK + 1, b=1.0, seed=3)
 def test_column_blocks_match_row_wise_oracle(n, m, b, seed):
     # the charts' columns and weights, against the row-wise computation on
-    # the same draws
+    # the same draws, with every reduction across a row taken left to right
     def stacked(blocks):
         points, weights = zip(*blocks)
         for x in points:
@@ -150,7 +153,7 @@ def test_column_blocks_match_row_wise_oracle(n, m, b, seed):
         return np.concatenate(points, axis=1).T, np.concatenate(weights)
 
     draws = np.random.default_rng(seed).standard_gamma(b, size=(m, n))
-    x = draws / draws.sum(axis=1, keepdims=True)
+    x = draws / np.cumsum(draws, axis=1)[:, -1:]
     volume = math.gamma(b) ** n / math.gamma(n * b)
     w = volume * np.prod(x ** (1 - b), axis=1)
     got_x, got_w = stacked(periods._simplex(np.random.default_rng(seed), m, n, b))
